@@ -39,8 +39,6 @@ def cmd_build(args) -> int:
         n_parts=args.parts,
         use_stopwords=args.stopwords,
         resume=not args.no_resume,
-        strategy=args.strategy,
-        codec=args.codec,
         analyzer=args.analyzer,
         positions=args.positions,
     )
@@ -332,13 +330,10 @@ def main(argv=None) -> int:
     b.add_argument("--parts", type=int, required=True)
     b.add_argument("--stopwords", action="store_true")
     b.add_argument("--no-resume", action="store_true")
-    b.add_argument("--strategy", choices=["auto", "stream", "sort"], default="auto")
     b.add_argument("--analyzer", default="default",
                    help="analyzer name (analyzers.register_analyzer; e.g. unicode)")
     b.add_argument("--positions", action="store_true",
                    help="also write the positional index (enables phrase queries)")
-    b.add_argument("--codec", choices=["varbyte", "raw32"], default="varbyte",
-                   help="posting value codec (recorded in the index manifest)")
     b.set_defaults(fn=cmd_build)
 
     s = sub.add_parser("search", help="query a built index")

@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .codec import DOCLEN_TERM, FWD_TERM, POS_FIELD, decode_posting, get_codec
+from .codec import DOCLEN_TERM, FWD_TERM, POS_FIELD, decode_posting
 from .hashing import fnv1a64
 from .segments import completed_parts, part_dir, read_global_manifest, read_manifest, read_tombstones
 
@@ -51,8 +51,7 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
     if m is None:
         _err(errors, part, "manifest", "missing/incomplete/stale-version")
         return {"part": part, "n_terms_checked": 0, "errors": errors}
-    gm = read_global_manifest(index_dir)
-    codec = get_codec(gm.get("codec"))
+    read_global_manifest(index_dir)  # raises on an index of another codec
     d = part_dir(index_dir, part)
     try:
         post = pq.read_table(os.path.join(d, "postings.parquet"))
@@ -103,7 +102,7 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
         try:
             docs, tfs = decode_posting(
                 r["doc_bytes"], r["tf_bytes"],
-                np.asarray(r["blk_first"]), np.asarray(r["blk_count"]), codec,
+                np.asarray(r["blk_first"]), np.asarray(r["blk_count"]),
             )
         except Exception as ex:
             _err(errors, part, "decode", f"{t!r}: {ex}")
@@ -162,7 +161,7 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
         try:
             docs, positions = decode_posting(
                 r["doc_bytes"], r["tf_bytes"],
-                np.asarray(r["blk_first"]), np.asarray(r["blk_count"]), codec,
+                np.asarray(r["blk_first"]), np.asarray(r["blk_count"]),
             )
         except Exception as ex:
             _err(errors, part, "pos-decode", f"{t!r}: {ex}")
@@ -188,6 +187,7 @@ def audit_index(index_dir: str, sample_terms: int = 64) -> dict:
     Returns {"ok": bool, "parts": [...], "n_errors": int}."""
     import ray
 
+    read_global_manifest(index_dir)  # raises on an index of another codec
     parts = completed_parts(index_dir)
     task = ray.remote(num_cpus=1)(audit_partition)
     reports = ray.get(

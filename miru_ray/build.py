@@ -5,46 +5,33 @@ WAL-paged batches → dedupe → dense id allocation → per-field posting
 compose → per-(field,term) bitmap set → LSM merge → ready watermark;
 reference: miru-service/.../partition/MiruPartitionAccessor.java:398-474,
 miru-service/.../stream/MiruIndexer.java:47-126,
-MiruIndexPrimaryFields.java:52-92) as Ray Data pipelines. Two strategies,
-byte-identical output (tested):
+MiruIndexPrimaryFields.java:52-92) as ONE Ray build path: the two-phase
+offset build (see the "streaming build" section below). Docs get dense
+docIds in (conv_id, turn_idx) stream order per partition — the reference's
+"doc id = position in stream order" invariant (LabTimeIdIndex.java:96).
+Raw text never shuffles; each phase-2 task tokenizes its files into
+delta+varbyte posting *runs* (the combiner: triples never leave the task
+uncompressed) and spills one run pack per partition; phase 3 merges a
+partition's packs by offset subsampling (codec.merge_runs — the Ray-native
+analogue of LAB append+compact, MiruLocalHostedPartition.java:1083-1101)
+and writes the immutable segment, manifest last (checkpoint with lineage +
+metrics → resumable restarts).
 
-* **stream** (default when the input files are globally sorted by
-  (conv_id, turn_idx)): the two-phase offset build — see the
-  "streaming build" section below. Raw text never shuffles; only
-  compressed posting-run PACKS cross the exchange (spill-to-partition
-  by default, groupby(part) as an option — see FileIndexer).
-* **sort** (fallback for arbitrarily-ordered input): one all-to-all
-  exchange of the raw rows —
-
-    read_parquet(transcripts, pruned columns)
-      → map_batches(route_partition)          # part = fnv1a64(conv_id) % P
-      → groupby("part").map_groups(SegmentBuilder)   # actor-pool stage
-      → (tiny manifest dataset) → global index.json
-
-``SegmentBuilder`` is the stateful merger stage of the north star: inside
-one task it (a) stably sorts the partition by (conv_id, turn_idx) and
-assigns dense docIds 0..n-1 — the reference's "doc id = position in stream
-order" invariant (LabTimeIdIndex.java:96); (b) processes the partition in
-bounded CHUNKS: vectorized tokenize → (term_key, docId, tf) triples via an
-Arrow group_by → delta+varbyte encoded posting *runs* per chunk (the
-combiner: triples never leave the task uncompressed); (c) two-stage merges
-the per-chunk runs into final postings by offset subsampling (codec.merge_runs
-— the Ray-native analogue of LAB append+compact,
-MiruLocalHostedPartition.java:1083-1101); (d) writes the immutable segment,
-manifest last (checkpoint with lineage + metrics → resumable restarts).
+Input that is not globally sorted by (conv_id, turn_idx) is sorted once
+with Ray Data (``Dataset.sort`` → Parquet in a temporary directory) and
+then takes the same path; sorted input skips that step.
 
 Scale / skew notes (SURVEY.md §4, §7.3-7.4):
-* The only shuffle key is ``part`` (uniform by conversation hash; hot TERMS
+* The only exchange key is ``part`` (uniform by conversation hash; hot TERMS
   are not shuffle keys at all — a hot term just produces one encoded run per
   chunk, merged in O(bytes), which is the salted-groupby/two-stage-merge
   answer to term skew without a second exchange).
 * Choose ``n_parts`` so one partition ≈ a few hundred MB of text (reference
   partitions hold "millions of ordered documents", README.md:12); at 100 TB
-  that is tens of thousands of partitions, each an independent map_groups
+  that is tens of thousands of partitions, each finalized by an independent
   task → embarrassingly parallel across a cluster.
 * A restarted build passes ``resume=True`` (default): rows of partitions
-  with complete manifests are dropped at the ROUTE stage, before the
-  shuffle, so finished work is never re-shuffled.
+  with complete manifests are dropped in phase 2, before they are encoded.
 """
 
 from __future__ import annotations
@@ -57,14 +44,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .codec import (
-    VARBYTE,
-    get_codec,
     FWD_TERM,
     POS_FIELD,
     RUNS_SCHEMA,
     encode_codes_to_runs,
     encode_multi_part_runs,
-    encode_triples_to_runs,
     merge_runs,
 )
 from .hashing import fnv1a64
@@ -72,16 +56,15 @@ from .segments import (
     FORWARD_SCHEMA,
     META_FIELDS,
     NUM_FIELDS,
+    POSTING_CODEC,
     TEXT_FIELD,
     completed_parts,
     finalize_segment,
     numeric_lex_array,
-    term_key,
     write_global_manifest,
-    write_segment,
 )
 from .analyzers import tokenizer_meta as _tokenizer_meta
-from .tokenize import token_counts, token_positions, tokenize_flat
+from .tokenize import token_counts, token_positions
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 # Docs tokenized per in-task chunk (bounds triple memory). NOTE: chunk
@@ -106,18 +89,6 @@ MANIFEST_ROW_SCHEMA = pa.schema(
 )
 
 
-def route_partition(batch: pa.Table, n_parts: int, skip_parts: frozenset[int]) -> pa.Table:
-    """Add the ``part`` routing column; drop rows of already-built partitions
-    (resume path) before the shuffle."""
-    part = (fnv1a64(batch["conv_id"]) % np.uint64(n_parts)).astype(np.int32)
-    batch = batch.append_column("part", pa.array(part, type=pa.int32()))
-    if skip_parts:
-        keep = ~np.isin(part, np.fromiter(skip_parts, dtype=np.int32))
-        if not keep.all():
-            batch = batch.filter(pa.array(keep))
-    return batch
-
-
 def _ts_to_us(ts: pa.ChunkedArray | pa.Array) -> np.ndarray:
     arr = ts.combine_chunks() if isinstance(ts, pa.ChunkedArray) else ts
     if pa.types.is_timestamp(arr.type):
@@ -125,77 +96,6 @@ def _ts_to_us(ts: pa.ChunkedArray | pa.Array) -> np.ndarray:
     else:
         arr = arr.cast(pa.int64())
     return arr.to_numpy(zero_copy_only=False)
-
-
-def tokenize_chunk_to_runs(
-    texts: pa.Array | pa.ChunkedArray,
-    part: int,
-    doc_base: int,
-    dl_out: np.ndarray,
-    use_stopwords: bool = False,
-    codec=VARBYTE,
-    analyzer: str = "default",
-    positions: bool = False,
-) -> pa.Table:
-    """One bounded chunk of docs → encoded posting runs for the `text` field.
-
-    The hot path of the whole build. (term, doc, tf) aggregation is done
-    WITHOUT string keys: dictionary-encode the tokens once, pack
-    ``code<<32 | row`` into one int64, a single ``np.sort`` groups the
-    composite, and run-lengths of equal values are the tf counts — the
-    vectorized posting compose (MiruIndexPrimaryFields.java:52-92). Term
-    strings materialize once per RUN via the (tiny) dictionary.
-
-    Writes per-doc token counts into ``dl_out`` (len = chunk rows); docIds
-    are ``doc_base + row``.
-    """
-    n_rows = len(dl_out)
-    from .analyzers import get_analyzer
-
-    parents, tokens = get_analyzer(analyzer).flat(texts, use_stopwords=use_stopwords)
-    dl_out[:] = token_counts(parents, n_rows)
-    if len(parents) == 0:
-        return RUNS_SCHEMA.empty_table()
-    denc = (tokens.combine_chunks() if isinstance(tokens, pa.ChunkedArray) else tokens).dictionary_encode()
-    codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    comp = (codes << np.int64(32)) | parents  # rows per chunk < 2^31
-    if positions:
-        # stable argsort keeps equal (code, row) occurrences in token order —
-        # their within-row ordinals become the positional payload
-        tokpos = token_positions(parents)
-        o = np.argsort(comp, kind="stable")
-        comp = comp[o]
-        tokpos = tokpos[o]
-    else:
-        comp.sort()
-    change = np.empty(len(comp), dtype=bool)
-    change[0] = True
-    change[1:] = comp[1:] != comp[:-1]
-    starts = np.flatnonzero(change)
-    tf = np.diff(np.append(starts, len(comp)))
-    u = comp[starts]
-    u_code = u >> np.int64(32)
-    u_row = u & np.int64(0xFFFFFFFF)
-    dict_terms = pc.binary_join_element_wise(
-        pa.scalar(TEXT_FIELD + "\x1f"), denc.dictionary, ""
-    )
-    out = encode_codes_to_runs(
-        int(part), u_code, u_row + doc_base, tf, dl_out[u_row], dict_terms, codec
-    )
-    if not positions:
-        return out
-    # positional runs: one entry per OCCURRENCE under POS_FIELD term keys —
-    # docIds repeat per occurrence (strict=False), tf slot = within-doc pos
-    occ_code = comp >> np.int64(32)
-    occ_row = comp & np.int64(0xFFFFFFFF)
-    pos_terms = pc.binary_join_element_wise(
-        pa.scalar(POS_FIELD + "\x1f"), denc.dictionary, ""
-    )
-    pos_runs = encode_codes_to_runs(
-        int(part), occ_code, occ_row + doc_base, tokpos, dl_out[occ_row],
-        pos_terms, codec, strict=False,
-    )
-    return pa.concat_tables([out, pos_runs])
 
 
 def _single_term_columns(t: pa.Table):
@@ -209,44 +109,8 @@ def _single_term_columns(t: pa.Table):
         yield field, numeric_lex_array(t[field])
 
 
-def meta_field_runs(
-    g: pa.Table, part: int, doc_ids: np.ndarray, dl_all: np.ndarray, codec=VARBYTE
-) -> list[pa.Table]:
-    """Single-term postings (tf=1) for the META_FIELDS + NUM_FIELDS of a row
-    slice whose global docIds are ``doc_ids`` (the reference's singleTerm
-    fields, MiruFullTextNGTest.java:52-60)."""
-    out: list[pa.Table] = []
-    for field, vals in _single_term_columns(g):
-        nonempty = pc.fill_null(pc.not_equal(pc.coalesce(vals, ""), ""), False)
-        keep = nonempty.to_numpy(zero_copy_only=False)
-        if not keep.any():
-            continue
-        # dictionary-encode values → int codes; sort composite (code, rank)
-        denc = vals.filter(nonempty).dictionary_encode()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        rows = np.flatnonzero(keep)
-        comp = (codes << np.int64(32)) | np.arange(len(rows), dtype=np.int64)
-        comp.sort()
-        u_code = comp >> np.int64(32)
-        u_row = rows[comp & np.int64(0xFFFFFFFF)]
-        dict_terms = pc.binary_join_element_wise(pa.scalar(field + "\x1f"), denc.dictionary, "")
-        out.append(
-            encode_codes_to_runs(
-                part,
-                u_code,
-                doc_ids[u_row],
-                np.ones(len(u_row), dtype=np.int64),
-                dl_all[u_row],
-                dict_terms,
-                codec,
-            )
-        )
-    return out
-
-
 def meta_field_runs_multi(
     t: pa.Table, part: np.ndarray, docid_of_row: np.ndarray, dl_all: np.ndarray,
-    codec=VARBYTE,
 ) -> list[pa.Table]:
     """meta_field_runs across all partitions of a file at once (one lexsort
     per field instead of one per (field, part))."""
@@ -266,7 +130,7 @@ def meta_field_runs_multi(
         out.append(
             encode_multi_part_runs(
                 p[o], codes[o], d[o], np.ones(len(o), dtype=np.int64),
-                dl_all[rows[o]], dict_terms, codec,
+                dl_all[rows[o]], dict_terms,
             )
         )
     return out
@@ -298,7 +162,7 @@ def paired_latest_field(a: str, b: str) -> str:
 
 
 def paired_latest_runs(
-    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict, codec=VARBYTE
+    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict
 ) -> list[pa.Table]:
     """The pairedLatest feature bundle (MiruIndexPairedLatest.java:36-56
     compose → :103-151 index): for each schema pair (A, B) and each value
@@ -341,8 +205,6 @@ def paired_latest_runs(
         dict_terms = pc.binary_join_element_wise(
             pa.scalar(paired_latest_field(a, b) + "\x1f"), ea.dictionary, ""
         )
-        from .codec import encode_codes_to_runs
-
         out.append(
             encode_codes_to_runs(
                 part,
@@ -351,14 +213,13 @@ def paired_latest_runs(
                 np.ones(len(o2), dtype=np.int64),
                 dl[rows[sel[o2]]],
                 dict_terms,
-                codec,
             )
         )
     return out
 
 
 def composite_runs(
-    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict, codec=VARBYTE
+    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict
 ) -> list[pa.Table]:
     """Composite-field postings (MiruSchema.java:32 `composite`;
     MiruActivityInternExtern.java:97-146): for each declared composite field,
@@ -393,8 +254,6 @@ def composite_runs(
         dict_terms = pc.binary_join_element_wise(
             pa.scalar(name + "\x1f"), enc.dictionary, ""
         )
-        from .codec import encode_codes_to_runs
-
         out.append(
             encode_codes_to_runs(
                 part,
@@ -403,7 +262,6 @@ def composite_runs(
                 np.ones(len(o), dtype=np.int64),
                 dl[rows[o]],
                 dict_terms,
-                codec,
             )
         )
     return out
@@ -442,11 +300,11 @@ def forward_to_run_row(part: int, first_doc: int, last_doc: int, forward: pa.Tab
     )
 
 
-# Pack rows: the groupby(part) exchange moves ONE row per (task, part) —
-# the task's runs sub-table serialized as Arrow IPC — instead of millions
-# of small run rows. Same bytes, ~1000× fewer rows: the sort machinery's
-# per-row cost (boundary partitioning, block concatenation) collapses,
-# which is what keeps the exchange off the build's critical path.
+# Pack rows: extend_index's groupby(part) exchange moves ONE row per
+# (task, part) — the task's runs sub-table serialized as Arrow IPC —
+# instead of millions of small run rows. Same bytes, ~1000× fewer rows: the
+# sort machinery's per-row cost (boundary partitioning, block concatenation)
+# collapses, which is what keeps the exchange off the critical path.
 PACK_SCHEMA = pa.schema([("part", pa.int32()), ("payload", pa.large_binary())])
 SPILL_ROW_SCHEMA = pa.schema([("part", pa.int32()), ("bytes", pa.int64())])
 
@@ -511,127 +369,13 @@ def runs_split_forward(group: pa.Table) -> tuple[pa.Table, pa.Table | None]:
     """Split a partition's shuffled runs into (posting runs, forward table).
     Forward slices concatenate in first_doc order. (The spill path avoids
     this filter — see finalize_spilled_partition's zero-copy suffix split;
-    this stays for the groupby exchange, whose packs arrive pre-unpacked.)"""
+    this stays for extend's groupby exchange, whose packs arrive
+    pre-unpacked.)"""
     is_fwd = pc.equal(group["term"], FWD_TERM)
     if not pc.any(is_fwd).as_py():
         return group, None
     rest = group.filter(pc.invert(is_fwd))
     return rest, assemble_forward(group.filter(is_fwd))
-
-
-def build_segment_table(group: pa.Table, use_stopwords: bool = False, codec=VARBYTE,
-                        analyzer: str = "default", positions: bool = False):
-    """Pure function: one partition's rows → (postings:pa.Table(RUNS_SCHEMA),
-    forward:pa.Table, stats:dict). Deterministic regardless of input row
-    order or chunking (the parallelism-invariance contract, FIXTURES.md F4.6).
-    """
-    # stable (conv_id, turn_idx) sort → dense docId assignment
-    idx = pc.sort_indices(
-        group, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    g = group.take(idx).combine_chunks()
-    n = g.num_rows
-    part = int(g["part"][0].as_py()) if "part" in g.schema.names and n else 0
-
-    ts_us = _ts_to_us(g["ts"])
-    doc_ids = np.arange(n, dtype=np.int64)
-
-    run_tables: list[pa.Table] = []
-    dl_all = np.zeros(n, dtype=np.int32)
-    total_tokens = 0
-
-    for lo in range(0, n, CHUNK_DOCS):
-        hi = min(n, lo + CHUNK_DOCS)
-        chunk = g.slice(lo, hi - lo)
-        run_tables.append(
-            tokenize_chunk_to_runs(
-                chunk["text"], part, lo, dl_all[lo:hi], use_stopwords=use_stopwords,
-                codec=codec, analyzer=analyzer, positions=positions,
-            )
-        )
-        total_tokens += int(dl_all[lo:hi].sum())
-
-    # meta fields (role/tool/conv_id): single-term postings, tf=1
-    run_tables.extend(meta_field_runs(g, part, doc_ids, dl_all, codec))
-    # pairedLatest + composite bundles (whole partition is in hand here)
-    run_tables.extend(
-        paired_latest_runs(part, doc_ids, dl_all, {"role": g["role"], "tool": g["tool"]}, codec)
-    )
-    run_tables.extend(
-        composite_runs(part, doc_ids, dl_all, {"role": g["role"], "tool": g["tool"]}, codec)
-    )
-
-    postings = merge_runs(pa.concat_tables(run_tables), codec) if run_tables else RUNS_SCHEMA.empty_table()
-    # final order: sorted by term_key for parquet min/max pruning
-    postings = postings.take(pc.sort_indices(postings, sort_keys=[("term", "ascending")]))
-
-    forward = pa.table(
-        {
-            "doc_id": pa.array(doc_ids.astype(np.int32), type=pa.int32()),
-            "conv_id": g["conv_id"],
-            "turn_idx": pc.cast(g["turn_idx"], pa.int32()),
-            "role": g["role"],
-            "tool": g["tool"],
-            "ts": pa.array(ts_us, type=pa.int64()),
-            "dl": pa.array(dl_all, type=pa.int32()),
-        },
-        schema=FORWARD_SCHEMA,
-    )
-    stats = {
-        "n_docs": int(n),
-        "n_terms": int(postings.num_rows),
-        "total_tokens": int(total_tokens),
-        "avg_dl": float(total_tokens / n) if n else 0.0,
-    }
-    return postings, forward, stats
-
-
-class SegmentBuilder:
-    """Actor-pool map_groups stage: one call = one partition → one immutable
-    segment on disk + one manifest row. Stateful per-actor setup happens once
-    in __init__ (the actor-pool pattern for stateful stages)."""
-
-    def __init__(self, index_dir: str, use_stopwords: bool = False, lineage: dict | None = None,
-                 codec: str = "varbyte", analyzer: str = "default", positions: bool = False):
-        self.index_dir = index_dir
-        self.use_stopwords = use_stopwords
-        self.lineage = lineage or {}
-        self.codec = get_codec(codec)
-        self.analyzer = analyzer
-        self.positions = positions
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        t0 = time.monotonic()
-        if group.num_rows == 0:
-            return MANIFEST_ROW_SCHEMA.empty_table()
-        part = int(group["part"][0].as_py())
-        postings, forward, stats = build_segment_table(group, self.use_stopwords, self.codec,
-                                                       analyzer=self.analyzer,
-                                                       positions=self.positions)
-        posting_bytes = sum(
-            postings[c].nbytes for c in ("doc_bytes", "tf_bytes")
-        ) if postings.num_rows else 0
-        metrics = dict(stats, posting_bytes=int(posting_bytes), **_ts_bounds(forward))
-        write_segment(
-            self.index_dir,
-            part,
-            postings,
-            forward,
-            lineage=dict(self.lineage, rows=int(group.num_rows)),
-            metrics=metrics,
-        )
-        return pa.table(
-            {
-                "part": pa.array([part], type=pa.int32()),
-                "n_docs": pa.array([stats["n_docs"]], type=pa.int64()),
-                "n_terms": pa.array([stats["n_terms"]], type=pa.int64()),
-                "total_tokens": pa.array([stats["total_tokens"]], type=pa.int64()),
-                "posting_bytes": pa.array([int(posting_bytes)], type=pa.int64()),
-                "build_sec": pa.array([time.monotonic() - t0], type=pa.float64()),
-                "skipped": pa.array([False], type=pa.bool_()),
-            },
-            schema=MANIFEST_ROW_SCHEMA,
-        )
 
 
 def _totals_from_manifests(index_dir: str) -> dict:
@@ -649,122 +393,6 @@ def _totals_from_manifests(index_dir: str) -> dict:
     return tot
 
 
-def build_index(
-    input_path: str | list[str],
-    index_dir: str,
-    n_parts: int,
-    use_stopwords: bool = False,
-    resume: bool = True,
-    concurrency: int | None = None,
-    strategy: str = "auto",
-    partitioning: str = "hash",
-    rows_per_part: int | None = None,
-    codec: str = "varbyte",
-    analyzer: str = "default",
-    positions: bool = False,
-) -> dict:
-    """Run the full build. Ray must already be initialised by the caller.
-
-    ``positions=True`` additionally writes the positional index (POS_FIELD
-    occurrence streams) that exact phrase queries need — opt-in: it costs a
-    stable argsort in phase 2 and roughly doubles posting bytes.
-
-    ``strategy``:
-    * ``"stream"`` / ``"auto"`` — the two-phase offset build (below): raw
-      text never shuffles; requires input files globally sorted by
-      (conv_id, turn_idx). ``auto`` verifies that in the metadata pass and
-      silently falls back to ``sort`` when violated.
-    * ``"sort"`` — single groupby(part) exchange of the raw rows (always
-      correct, 3-4× slower: the whole corpus moves through the sort).
-
-    ``partitioning="range"`` (streaming strategy only) builds closed
-    row-range partitions — the reference's time-segment rollover; see
-    build_index_streaming.
-
-    Returns the global manifest dict (also written to index.json)."""
-    if partitioning == "range":
-        if strategy == "sort":
-            raise ValueError("range partitioning requires the streaming build")
-        return build_index_streaming(
-            input_path, index_dir, n_parts,
-            use_stopwords=use_stopwords, resume=resume, concurrency=concurrency,
-            strict=True, partitioning="range", rows_per_part=rows_per_part,
-            codec=codec, analyzer=analyzer, positions=positions,
-        )
-    if strategy in ("auto", "stream"):
-        meta = build_index_streaming(
-            input_path, index_dir, n_parts,
-            use_stopwords=use_stopwords, resume=resume, concurrency=concurrency,
-            strict=(strategy == "stream"), codec=codec, analyzer=analyzer,
-            positions=positions,
-        )
-        if meta is not None:
-            return meta
-    return _build_index_sort(
-        input_path, index_dir, n_parts,
-        use_stopwords=use_stopwords, resume=resume, concurrency=concurrency,
-        codec=codec, analyzer=analyzer, positions=positions,
-    )
-
-
-def _build_index_sort(
-    input_path: str | list[str],
-    index_dir: str,
-    n_parts: int,
-    use_stopwords: bool = False,
-    resume: bool = True,
-    concurrency: int | None = None,
-    codec: str = "varbyte",
-    analyzer: str = "default",
-    positions: bool = False,
-) -> dict:
-    import ray.data as rd
-
-    done = frozenset(completed_parts(index_dir)) if resume else frozenset()
-    lineage = {"input": input_path if isinstance(input_path, str) else list(input_path)}
-
-    ds = rd.read_parquet(input_path, columns=INPUT_COLUMNS)
-    ds = ds.map_batches(
-        route_partition,
-        fn_kwargs={"n_parts": n_parts, "skip_parts": done},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    builder_kwargs = {"index_dir": index_dir, "use_stopwords": use_stopwords, "lineage": lineage, "codec": codec, "analyzer": analyzer, "positions": positions}
-    if concurrency is None:
-        import ray
-
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 2)
-    manifest_ds = ds.groupby("part").map_groups(
-        SegmentBuilder,
-        fn_constructor_kwargs=builder_kwargs,
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-        num_cpus=1,
-    )
-    rows = manifest_ds.take_all()  # tiny: one row per partition
-
-    built = {int(r["part"]): r for r in rows}
-    meta = {
-        "version": 1,
-        "n_parts": n_parts,
-        "partitioning": {"mode": "hash"},
-        "codec": codec,
-        "positions": positions,
-        "tokenizer": _tokenizer_meta(analyzer, use_stopwords),
-        "text_field": TEXT_FIELD,
-        "meta_fields": list(META_FIELDS),
-        "num_fields": list(NUM_FIELDS),
-        "composite_fields": {k: list(v) for k, v in COMPOSITE_FIELDS.items()},
-        "parts_built": sorted(built),
-        "parts_resumed": sorted(done),
-        "input_files": list_input_files(input_path),
-        "totals": _totals_from_manifests(index_dir),
-    }
-    write_global_manifest(index_dir, meta)
-    return meta
-
-
 # --------------------------------------------------------- streaming build
 #
 # Two-phase offset build: the scale architecture. The raw corpus (dominated
@@ -780,14 +408,12 @@ def _build_index_sort(
 #   phase 2  one Ray Data task per file group: tokenize + encode posting
 #            RUNS with global docIds (forward-table slices ride along as
 #            IPC pseudo-runs); each task's per-partition run PACK is
-#            spilled into the partition's runs dir as the task finishes
-#            (default) or shipped through a groupby(part) exchange. Only
-#            the compressed packs (≈5× smaller than the text) leave the
-#            task.
-#   phase 3  per-partition finalize (plain-task scatter in spill mode,
-#            map_groups in groupby mode): merge packs by offset
-#            subsampling (codec.merge_runs — no decode), write postings +
-#            forward, manifest LAST.
+#            spilled into the partition's runs dir as the task finishes.
+#            Only the compressed packs (≈5× smaller than the text) leave
+#            the task.
+#   phase 3  per-partition finalize (plain-task scatter): merge packs by
+#            offset subsampling (codec.merge_runs — no decode), write
+#            postings + forward, manifest LAST.
 #
 # Scale notes: the base offsets are a CSR triple over the NONZERO
 # (file, part) pairs (sparse_bases) — phase 1 ships sparse per-file counts
@@ -833,19 +459,39 @@ def scan_file_meta(path: str, n_parts: int, partitioning: str = "hash") -> dict:
         # file actually touches, never n_files × n_parts
         parts_nz = np.flatnonzero(dense).astype(np.int64)
         counts = dense[parts_nz]
-    ok = True
+    bad = None  # first key that does not sort strictly after its predecessor
     if n > 1:
         gt = pc.greater(conv.slice(1), conv.slice(0, n - 1)).to_numpy(zero_copy_only=False)
         eq = pc.equal(conv.slice(1), conv.slice(0, n - 1)).to_numpy(zero_copy_only=False)
-        ok = bool(np.all(gt | (eq & (turn[1:] > turn[:-1]))))
+        viol = np.flatnonzero(~(gt | (eq & (turn[1:] > turn[:-1]))))
+        if len(viol):
+            i = int(viol[0]) + 1
+            bad = (conv[i].as_py(), int(turn[i]))
     return {
         "parts": parts_nz,
         "counts": counts,
-        "ok": ok,
+        "ok": bad is None,
+        "bad": bad,
         "first": (conv[0].as_py(), int(turn[0])) if n else None,
         "last": (conv[-1].as_py(), int(turn[-1])) if n else None,
         "rows": n,
     }
+
+
+def _order_violation(files: list[str], metas: list[dict]) -> str | None:
+    """Why ``files`` (with their phase-1 ``metas``) are not one stream sorted
+    strictly by (conv_id, turn_idx) — naming the offending key — or None.
+    Duplicate keys count as violations."""
+    prev = None  # (file, last key) of the previous non-empty file
+    for f, m in zip(files, metas):
+        if not m["ok"]:
+            return f"{f}: key {m['bad']} does not sort after the row before it"
+        if m["first"] is None:
+            continue
+        if prev is not None and not prev[1] < m["first"]:
+            return f"{f} starts at key {m['first']}, not after {prev[0]}'s last key {prev[1]}"
+        prev = (f, m["last"])
+    return None
 
 
 def sparse_bases(
@@ -900,9 +546,9 @@ class FileIndexer:
     IPC inside special ``FWD_TERM`` run rows.
 
     Two exchange modes:
-    * ``spill_dir=None`` (groupby mode): packed runs travel through the ONE
-      groupby(part) exchange.
-    * ``spill_dir`` set (default build path): each (task, part) pack is
+    * ``spill_dir=None`` (extend_index): packed runs travel through the ONE
+      groupby(part) exchange into ``SegmentExtender``.
+    * ``spill_dir`` set (build_index): each (task, part) pack is
       written DIRECTLY into the partition's runs dir as the task finishes —
       the exchange overlaps phase-2 compute instead of waiting on a sort
       barrier, and the spilled packs double as a phase-2 checkpoint (the
@@ -913,8 +559,7 @@ class FileIndexer:
     def __init__(self, index_dir: str, n_parts: int, skip_parts: frozenset[int],
                  use_stopwords: bool = False, spill_dir: str | None = None,
                  bases_ref=None, rows_per_part: int | None = None,
-                 codec: str = "varbyte", analyzer: str = "default",
-                 positions: bool = False):
+                 analyzer: str = "default", positions: bool = False):
         from .analyzers import get_analyzer
 
         self._flat = get_analyzer(analyzer).flat
@@ -924,7 +569,6 @@ class FileIndexer:
         self.skip = skip_parts
         self.use_stopwords = use_stopwords
         self.spill_dir = spill_dir
-        self.codec = get_codec(codec)
         # range partitioning (the reference's time-ordered rollover,
         # MiruPartitioner.java:106-165): partition = contiguous global-row
         # range of fixed size rows_per_part. Partition AND docId are pure
@@ -1051,7 +695,7 @@ class FileIndexer:
             runs.append(
                 encode_multi_part_runs(
                     p2[starts], c2[starts], docid_of_row[rs], tf,
-                    dl_all[rs], dict_terms, self.codec,
+                    dl_all[rs], dict_terms,
                 )
             )
             if pos2 is not None:
@@ -1063,11 +707,11 @@ class FileIndexer:
                 runs.append(
                     encode_multi_part_runs(
                         p2, c2, docid_of_row[r2], pos2, dl_all[r2],
-                        pos_terms, self.codec, strict=False,
+                        pos_terms, strict=False,
                     )
                 )
         # meta fields across all parts at once
-        runs.extend(meta_field_runs_multi(t, part, docid_of_row, dl_all, self.codec))
+        runs.extend(meta_field_runs_multi(t, part, docid_of_row, dl_all))
         # forward slices per part, shipped as IPC pseudo-runs. Select the
         # forward columns ONCE before the per-part takes: taking from the
         # full table would copy the text column (the corpus's largest) per
@@ -1129,7 +773,7 @@ class FileIndexer:
             # separately (never filtered out of the byte stream) and stay
             # a per-part SUFFIX after the stable pack sort — the finalize
             # splits packs by zero-copy slices instead of a filter copy.
-            t = merge_runs(t, self.codec)
+            t = merge_runs(t)
         if fwds:
             t = pa.concat_tables([t] + fwds)
         if self.spill_dir is None:
@@ -1181,30 +825,22 @@ def _ts_bounds(forward: pa.Table | None) -> dict:
     return {"ts_min": mm["min"].as_py(), "ts_max": mm["max"].as_py()}
 
 
-def _finalize_partition(
+def _write_partition(
     index_dir: str,
     part: int,
-    runs_table: pa.Table,
+    runs: pa.Table,
+    forward: pa.Table | None,
     n_docs: int,
     lineage: dict,
     t0: float,
-    codec=VARBYTE,
-    fwd_rows: pa.Table | None = None,
 ) -> dict:
-    """Shared phase-3 core: one partition's unpacked runs → merged postings
-    + forward + manifest (written last: checkpoint atomicity). Returns the
-    manifest row as a dict. When the caller already separated the FWD
-    pseudo-rows (the spill path's zero-copy pack slicing), pass them via
-    ``fwd_rows`` and ``runs_table`` must hold posting runs only — the
-    filter split (one full copy of every posting byte) is skipped."""
+    """Shared by build (phase 3) and extend: one partition's posting runs
+    and forward table → merged postings + derived postings + manifest
+    (written last: checkpoint atomicity). Returns the manifest row as a
+    dict (MANIFEST_ROW_SCHEMA)."""
     timing = bool(os.environ.get("MIRU_RAY_TIMING"))
     tmarks = [("start", time.monotonic())]
-    if fwd_rows is not None:
-        run_rows, forward = runs_table, assemble_forward(fwd_rows)
-    else:
-        run_rows, forward = runs_split_forward(runs_table)
-    tmarks.append(("split", time.monotonic()))
-    postings = merge_runs(run_rows, codec)
+    postings = merge_runs(runs)
     tmarks.append(("merge", time.monotonic()))
     if forward is not None and forward.num_rows:
         # pairedLatest is partition-global — computable only here, where the
@@ -1213,8 +849,8 @@ def _finalize_partition(
         fdocs = forward["doc_id"].to_numpy().astype(np.int64)
         fdl = forward["dl"].to_numpy().astype(np.int64)
         fcols = {"role": forward["role"], "tool": forward["tool"]}
-        extra = paired_latest_runs(part, fdocs, fdl, fcols, codec)
-        extra += composite_runs(part, fdocs, fdl, fcols, codec)
+        extra = paired_latest_runs(part, fdocs, fdl, fcols)
+        extra += composite_runs(part, fdocs, fdl, fcols)
         if extra:
             postings = pa.concat_tables([postings] + extra).combine_chunks()
     tmarks.append(("derived", time.monotonic()))
@@ -1237,7 +873,7 @@ def _finalize_partition(
         "posting_bytes": int(posting_bytes),
     }
     metrics.update(_ts_bounds(forward))
-    finalize_segment(index_dir, part, postings, dict(lineage), metrics, forward)
+    finalize_segment(index_dir, part, postings, lineage, metrics, forward)
     if timing:
         tmarks.append(("write", time.monotonic()))
         steps = " ".join(
@@ -1256,52 +892,13 @@ def _finalize_partition(
     }
 
 
-def _manifest_row_table(row: dict) -> pa.Table:
-    return pa.table(
-        {
-            "part": pa.array([row["part"]], type=pa.int32()),
-            "n_docs": pa.array([row["n_docs"]], type=pa.int64()),
-            "n_terms": pa.array([row["n_terms"]], type=pa.int64()),
-            "total_tokens": pa.array([row["total_tokens"]], type=pa.int64()),
-            "posting_bytes": pa.array([row["posting_bytes"]], type=pa.int64()),
-            "build_sec": pa.array([row["build_sec"]], type=pa.float64()),
-            "skipped": pa.array([row["skipped"]], type=pa.bool_()),
-        },
-        schema=MANIFEST_ROW_SCHEMA,
-    )
-
-
-class SegmentFinalizer:
-    """Phase-3 map_groups stage (groupby exchange mode): all encoded run
-    packs of one partition → merged postings + manifest."""
-
-    def __init__(self, index_dir: str, n_docs_by_part: dict[int, int], lineage: dict,
-                 codec: str = "varbyte"):
-        self.index_dir = index_dir
-        self.n_docs_by_part = n_docs_by_part
-        self.lineage = lineage
-        self.codec = get_codec(codec)
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        t0 = time.monotonic()
-        if group.num_rows == 0:
-            return MANIFEST_ROW_SCHEMA.empty_table()
-        part = int(group["part"][0].as_py())
-        row = _finalize_partition(
-            self.index_dir, part, unpack_group(group),
-            int(self.n_docs_by_part.get(part, 0)), self.lineage, t0, self.codec,
-        )
-        return _manifest_row_table(row)
-
-
 def finalize_spilled_partition(
     index_dir: str, spill_dir: str, part: int, n_docs: int, lineage: dict,
-    codec: str = "varbyte",
 ) -> dict:
-    """Phase-3 task (spill exchange mode): read the partition's spilled
-    packs, merge, write the segment, then drop the runs dir. Runs as a
-    plain Ray task — the per-partition scatter reuses the warm default
-    worker pool instead of spawning a second actor pool."""
+    """Phase-3 task: read the partition's spilled packs, merge, write the
+    segment, then drop the runs dir. Runs as a plain Ray task — the
+    per-partition scatter reuses the warm default worker pool instead of
+    spawning a second actor pool."""
     import glob as _glob
     import shutil
 
@@ -1327,9 +924,8 @@ def finalize_spilled_partition(
     # no combine_chunks here: merge_runs consolidates once internally —
     # combining twice would copy every posting byte an extra time
     runs = pa.concat_tables(posts) if posts else RUNS_SCHEMA.empty_table()
-    fwd_rows = pa.concat_tables(fwds) if fwds else None
-    row = _finalize_partition(index_dir, part, runs, n_docs, lineage, t0,
-                              get_codec(codec), fwd_rows=fwd_rows)
+    forward = assemble_forward(pa.concat_tables(fwds)) if fwds else None
+    row = _write_partition(index_dir, part, runs, forward, n_docs, dict(lineage), t0)
     shutil.rmtree(d, ignore_errors=True)
     return row
 
@@ -1346,24 +942,61 @@ def _remote_finalize():
     return _REMOTE_FINALIZE
 
 
-def build_index_streaming(
+def _scan_files(files: list[str], n_parts: int, partitioning: str) -> list[dict]:
+    """Phase 1: ``scan_file_meta`` of every file, one Ray task each."""
+    import ray
+
+    scan = ray.remote(num_cpus=1)(scan_file_meta)
+    return ray.get([scan.remote(f, n_parts, partitioning) for f in files])
+
+
+def _presort(files: list[str], out_dir: str, n_parts: int) -> tuple[list[str], list[dict]]:
+    """Sort the rows of ``files`` by (conv_id, turn_idx) with Ray Data into
+    Parquet under ``out_dir``. Returns the written files in key order, with
+    their phase-1 metas, and raises ValueError naming the offending key
+    when the sorted stream still has a duplicate key."""
+    import ray.data as rd
+
+    rd.read_parquet(files, columns=INPUT_COLUMNS).sort(
+        ["conv_id", "turn_idx"]
+    ).write_parquet(out_dir)
+    out = list_input_files(out_dir)
+    metas = _scan_files(out, n_parts, "hash")
+    # the sort's files hold disjoint key ranges, but their names need not
+    # follow key order: order them by first key
+    keep = sorted((m["first"], i) for i, m in enumerate(metas) if m["rows"])
+    out = [out[i] for _, i in keep]
+    metas = [metas[i] for _, i in keep]
+    bad = _order_violation([f"sorted run {i}" for i in range(len(out))], metas)
+    if bad:
+        raise ValueError(f"input has duplicate (conv_id, turn_idx) keys: {bad}")
+    return out, metas
+
+
+def build_index(
     input_path: str | list[str],
     index_dir: str,
     n_parts: int,
     use_stopwords: bool = False,
     resume: bool = True,
     concurrency: int | None = None,
-    strict: bool = False,
-    exchange: str = "spill",
     partitioning: str = "hash",
     rows_per_part: int | None = None,
-    codec: str = "varbyte",
     analyzer: str = "default",
     positions: bool = False,
-) -> dict | None:
-    """The two-phase offset build (see module section comment). Returns None
-    when the input violates the global (conv_id, turn_idx) sort order and
-    ``strict`` is False (caller falls back to the sort-based build).
+) -> dict:
+    """Run the two-phase offset build (see the module section comment). Ray
+    must already be initialised by the caller. Returns the global manifest
+    dict (also written to index.json).
+
+    Input files not globally sorted by (conv_id, turn_idx) — detected by
+    the phase-1 scan — are first sorted into a temporary Parquet copy under
+    ``index_dir`` (removed afterwards); the manifest's ``input_files``
+    still lists the caller's files. Duplicate keys raise ValueError.
+
+    ``positions=True`` additionally writes the positional index (POS_FIELD
+    occurrence streams) that exact phrase queries need — opt-in: it costs a
+    stable argsort in phase 2 and roughly doubles posting bytes.
 
     ``partitioning``:
     * ``"hash"`` (default) — partition = fnv1a64(conv_id) % n_parts; a
@@ -1377,7 +1010,10 @@ def build_index_streaming(
       segments, the manifest ts zone maps don't overlap, and the TIME
       partition walk short-circuits (FullTextAnswerEvaluator.java:18-35).
       Also removes the (n_files × n_parts) bases matrix entirely — phase 1
-      ships one scalar row-offset per file."""
+      ships one scalar row-offset per file. Requires sorted input."""
+    import shutil
+    import tempfile
+
     import ray
     import ray.data as rd
 
@@ -1388,96 +1024,93 @@ def build_index_streaming(
     if not files:
         raise FileNotFoundError(f"no parquet input under {input_path!r}")
 
-    scan = ray.remote(num_cpus=1)(scan_file_meta)
-    metas = ray.get([scan.remote(f, n_parts, partitioning) for f in files])
+    metas = _scan_files(files, n_parts, partitioning)
     if timing:
         print(f"[timing] phase1 scan: {time.monotonic() - t_start:.2f}s", flush=True)
-    ordered = all(m["ok"] for m in metas)
-    for a, b in zip(metas, metas[1:]):
-        if a["last"] is not None and b["first"] is not None and not (a["last"] < b["first"]):
-            ordered = False
-    if not ordered:
-        if strict or partitioning == "range":
-            raise ValueError("input files are not globally sorted by (conv_id, turn_idx)")
-        return None
+    src, src_metas, presort_dir = files, metas, None
+    bad = _order_violation(files, metas)
+    if bad:
+        if partitioning == "range":
+            raise ValueError(f"input files are not globally sorted by (conv_id, turn_idx): {bad}")
+        os.makedirs(index_dir, exist_ok=True)
+        # a crashed earlier build may have left its sorted copy behind
+        for name in os.listdir(index_dir):
+            if name.startswith(".presort-"):
+                shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
+        presort_dir = tempfile.mkdtemp(prefix=".presort-", dir=index_dir)
+    try:
+        if presort_dir is not None:
+            src, src_metas = _presort(files, presort_dir, n_parts)
+            if timing:
+                print(f"[timing] pre-sort: {time.monotonic() - t_start:.2f}s", flush=True)
 
-    if partitioning == "range":
-        rows = np.array([int(m["rows"]) for m in metas], dtype=np.int64)
-        goffs = np.zeros_like(rows)
-        np.cumsum(rows[:-1], out=goffs[1:])
-        total = int(rows.sum())
-        R = int(rows_per_part or max(1, -(-total // n_parts)))
-        n_parts_eff = max(1, -(-total // R)) if total else 1
-        n_docs_by_part = {
-            p: min(total, (p + 1) * R) - p * R for p in range(n_parts_eff)
+        if partitioning == "range":
+            rows = np.array([int(m["rows"]) for m in src_metas], dtype=np.int64)
+            goffs = np.zeros_like(rows)
+            np.cumsum(rows[:-1], out=goffs[1:])
+            total = int(rows.sum())
+            R = int(rows_per_part or max(1, -(-total // n_parts)))
+            n_parts_eff = max(1, -(-total // R)) if total else 1
+            n_docs_by_part = {
+                p: min(total, (p + 1) * R) - p * R for p in range(n_parts_eff)
+            }
+            n_docs_by_part = {p: c for p, c in n_docs_by_part.items() if c > 0}
+            bases = None
+        else:
+            bases, n_docs_by_part = sparse_bases(src_metas)  # CSR — never dense
+            R = None
+
+        done = frozenset(completed_parts(index_dir)) if resume else frozenset()
+        if partitioning == "range" and done:
+            # resume soundness: range boundaries are a function of (R, total) —
+            # if either changed since the completed partitions were written,
+            # their docId ranges are stale and the merge would be silently wrong
+            from .segments import read_manifest as _read_manifest
+
+            for p in sorted(done):
+                m = _read_manifest(index_dir, p)
+                expect = n_docs_by_part.get(p)
+                if m is not None and expect is not None and m["metrics"]["n_docs"] != expect:
+                    raise ValueError(
+                        f"range-partitioned resume: partition {p} holds "
+                        f"{m['metrics']['n_docs']} docs but the current input maps "
+                        f"{expect} rows to it — input or rows_per_part changed; "
+                        "rebuild with resume=False"
+                    )
+        lineage = {
+            "input_files": files,
+            "strategy": "stream",
+            "rows_per_file": [int(m["rows"]) for m in metas],
         }
-        n_docs_by_part = {p: c for p, c in n_docs_by_part.items() if c > 0}
-        bases = None
-    else:
-        bases, n_docs_by_part = sparse_bases(metas)  # CSR — never dense
-        R = None
+        if concurrency is None:
+            # size to the full CPU count: the tokenize pool owns the box
+            # during phase 2; phase 3 runs after it drains
+            concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
 
-    done = frozenset(completed_parts(index_dir)) if resume else frozenset()
-    if partitioning == "range" and done:
-        # resume soundness: range boundaries are a function of (R, total) —
-        # if either changed since the completed partitions were written,
-        # their docId ranges are stale and the merge would be silently wrong
-        from .segments import read_manifest as _read_manifest
-
-        for p in sorted(done):
-            m = _read_manifest(index_dir, p)
-            expect = n_docs_by_part.get(p)
-            if m is not None and expect is not None and m["metrics"]["n_docs"] != expect:
-                raise ValueError(
-                    f"range-partitioned resume: partition {p} holds "
-                    f"{m['metrics']['n_docs']} docs but the current input maps "
-                    f"{expect} rows to it — input or rows_per_part changed; "
-                    "rebuild with resume=False"
-                )
-    lineage = {
-        "input_files": files,
-        "strategy": "stream",
-        "rows_per_file": [int(m["rows"]) for m in metas],
-    }
-    if concurrency is None:
-        # size to the full CPU count: the tokenize pool owns the box during
-        # phase 2; the finalizer pool's min-1 actor simply waits for a free
-        # CPU (phases serialize on small boxes, pipeline on big ones)
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
-
-    if partitioning == "range":
-        bases_ref = None
-        items = [
-            {"path": f, "fidx": i, "goff": int(goffs[i])} for i, f in enumerate(files)
-        ]
-    else:
-        bases_ref = ray.put(bases)
-        items = [{"path": f, "fidx": i} for i, f in enumerate(files)]
-    # files per task: ~6 waves per actor for load balance (coarse tasks
-    # straggle: the last wave runs on a near-empty pool), floored at 3 so
-    # the in-task combiner still amortizes (1-file tasks skip combining and
-    # explode the per-partition pack count the finalizer must merge),
-    # capped at 8 so a task's resident set stays bounded at real file sizes
-    group = int(min(8, max(3, len(files) // max(1, 6 * concurrency))))
-    group = min(group, max(1, len(files)))
-    n_tasks = -(-len(files) // group)
-    # FIXED pool size (not autoscaling): all actors start + import in
-    # parallel at t0 instead of ramping from a floor. fi_conc + the
-    # finalizer pool's min (1) must stay ≤ total CPUs or the all-or-nothing
-    # pool start deadlocks (observed) — so the groupby branch, whose
-    # SegmentFinalizer pool coexists with the FileIndexer pool, reserves
-    # one CPU for it; the spill branch finalizes with plain tasks after
-    # phase 2 drains and can use every CPU.
-    if exchange == "spill":
+        if partitioning == "range":
+            bases_ref = None
+            items = [
+                {"path": f, "fidx": i, "goff": int(goffs[i])} for i, f in enumerate(src)
+            ]
+        else:
+            bases_ref = ray.put(bases)
+            items = [{"path": f, "fidx": i} for i, f in enumerate(src)]
+        # files per task: ~6 waves per actor for load balance (coarse tasks
+        # straggle: the last wave runs on a near-empty pool), floored at 3 so
+        # the in-task combiner still amortizes (1-file tasks skip combining and
+        # explode the per-partition pack count the finalizer must merge),
+        # capped at 8 so a task's resident set stays bounded at real file sizes
+        group = int(min(8, max(3, len(src) // max(1, 6 * concurrency))))
+        group = min(group, max(1, len(src)))
+        n_tasks = -(-len(src) // group)
+        # FIXED pool size (not autoscaling): all actors start + import in
+        # parallel at t0 instead of ramping from a floor; phase 3 finalizes
+        # with plain tasks after phase 2 drains, so every CPU is usable
         fi_conc = max(1, min(concurrency, n_tasks))
-    else:
-        fi_conc = max(1, min(concurrency - 1, n_tasks))
-    # spill target: RAM-backed by default when available (same in-memory
-    # semantics as the object-store exchange it replaces; on a cluster point
-    # MIRU_RAY_SPILL_BASE at the shared segment store for durable phase-2
-    # checkpoints instead)
-    spill_dir = None
-    if exchange == "spill":
+        # spill target: RAM-backed by default when available (same in-memory
+        # semantics as an object-store exchange; on a cluster point
+        # MIRU_RAY_SPILL_BASE at the shared segment store for durable phase-2
+        # checkpoints instead)
         base = os.environ.get("MIRU_RAY_SPILL_BASE")
         if base is None:
             base = "/dev/shm" if os.path.isdir("/dev/shm") else index_dir
@@ -1490,54 +1123,37 @@ def build_index_streaming(
         # the new ones and duplicate postings at merge. Packs are only a
         # checkpoint WITHIN a run (task retries rewrite identical bytes);
         # across runs, start clean.
-        import shutil as _shutil
-
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-    runs_ds = rd.from_items(items).map_batches(
-        FileIndexer,
-        fn_constructor_kwargs={
-            "index_dir": index_dir, "n_parts": n_parts,
-            "skip_parts": done, "use_stopwords": use_stopwords,
-            "spill_dir": spill_dir, "bases_ref": bases_ref,
-            "rows_per_part": R, "codec": codec, "analyzer": analyzer,
-            "positions": positions,
-        },
-        batch_size=group,
-        batch_format="pyarrow",
-        concurrency=fi_conc,
-        num_cpus=1,
-    )
-    if exchange == "spill":
-        # spill exchange: packs land in per-partition runs dirs DURING phase
-        # 2 (overlapping compute); the only barrier is the tiny marker
-        # collect; phase 3 is a plain-task scatter over partitions (warm
-        # workers, no second actor-pool spawn, no sort machinery)
-        runs_ds.take_all()
+        shutil.rmtree(spill_dir, ignore_errors=True)
+        # packs land in per-partition runs dirs DURING phase 2 (overlapping
+        # compute); the only barrier is the tiny marker collect; phase 3 is
+        # a plain-task scatter over partitions (warm workers, no second
+        # actor-pool spawn, no sort machinery)
+        rd.from_items(items).map_batches(
+            FileIndexer,
+            fn_constructor_kwargs={
+                "index_dir": index_dir, "n_parts": n_parts,
+                "skip_parts": done, "use_stopwords": use_stopwords,
+                "spill_dir": spill_dir, "bases_ref": bases_ref,
+                "rows_per_part": R, "analyzer": analyzer,
+                "positions": positions,
+            },
+            batch_size=group,
+            batch_format="pyarrow",
+            concurrency=fi_conc,
+            num_cpus=1,
+        ).take_all()
         if timing:
             print(f"[timing] phase 2 (tokenize+spill): {time.monotonic() - t_start:.2f}s", flush=True)
         todo = [p for p in sorted(n_docs_by_part) if p not in done]
         fin = _remote_finalize()
         rows = ray.get([
-            fin.remote(index_dir, spill_dir, p, n_docs_by_part[p], lineage, codec)
+            fin.remote(index_dir, spill_dir, p, n_docs_by_part[p], lineage)
             for p in todo
         ])
-        import shutil as _shutil
-
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-    else:
-        manifest_ds = runs_ds.groupby("part").map_groups(
-            SegmentFinalizer,
-            fn_constructor_kwargs={
-                "index_dir": index_dir,
-                "n_docs_by_part": n_docs_by_part,
-                "lineage": lineage,
-                "codec": codec,
-            },
-            batch_format="pyarrow",
-            concurrency=(1, concurrency),
-            num_cpus=1,
-        )
-        rows = manifest_ds.take_all()  # tiny: one row per partition
+        shutil.rmtree(spill_dir, ignore_errors=True)
+    finally:
+        if presort_dir is not None:
+            shutil.rmtree(presort_dir, ignore_errors=True)
     if timing:
         print(f"[timing] phases 2+3 (to manifest collect): {time.monotonic() - t_start:.2f}s total", flush=True)
 
@@ -1551,7 +1167,7 @@ def build_index_streaming(
             else {"mode": "hash"}
         ),
         "strategy": "stream",
-        "codec": codec,
+        "codec": POSTING_CODEC,
         "positions": positions,
         "tokenizer": _tokenizer_meta(analyzer, use_stopwords),
         "text_field": TEXT_FIELD,
@@ -1605,12 +1221,11 @@ class SegmentExtender:
     rewritten segment (manifest last, epoch appended)."""
 
     def __init__(self, index_dir: str, new_docs_by_part: dict[int, int], epoch: str,
-                 lineage: dict, codec: str = "varbyte"):
+                 lineage: dict):
         self.index_dir = index_dir
         self.new_docs_by_part = new_docs_by_part
         self.epoch = epoch
         self.lineage = lineage
-        self.codec = get_codec(codec)
 
     def __call__(self, group: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -1649,48 +1264,10 @@ class SegmentExtender:
             old_n = old_manifest["metrics"]["n_docs"]
         else:
             all_runs, forward, epochs, old_n = new_runs, new_fwd, [], 0
-        postings = merge_runs(all_runs, self.codec)
-        if forward is not None and forward.num_rows:
-            fdocs = forward["doc_id"].to_numpy().astype(np.int64)
-            fdl = forward["dl"].to_numpy().astype(np.int64)
-            fcols = {"role": forward["role"], "tool": forward["tool"]}
-            extra = paired_latest_runs(part, fdocs, fdl, fcols, self.codec)
-            extra += composite_runs(part, fdocs, fdl, fcols, self.codec)
-            if extra:
-                postings = pa.concat_tables([postings] + extra).combine_chunks()
-        postings = postings.take(pc.sort_indices(postings, sort_keys=[("term", "ascending")]))
-        text_mask = pc.starts_with(postings["term"], TEXT_FIELD + "\x1f")
-        total_tokens = int(
-            pc.sum(pc.if_else(text_mask, postings["ttf"], pa.scalar(0, pa.int64()))).as_py() or 0
-        )
         n_docs = old_n + int(self.new_docs_by_part.get(part, 0))
-        if forward is not None and forward.num_rows != n_docs:
-            raise AssertionError(
-                f"part {part}: forward rows {forward.num_rows} != expected {n_docs}"
-            )
-        posting_bytes = sum(postings[c].nbytes for c in ("doc_bytes", "tf_bytes"))
-        metrics = {
-            "n_docs": n_docs,
-            "n_terms": int(postings.num_rows),
-            "total_tokens": total_tokens,
-            "avg_dl": float(total_tokens / n_docs) if n_docs else 0.0,
-            "posting_bytes": int(posting_bytes),
-        }
-        metrics.update(_ts_bounds(forward))
         lineage = dict(self.lineage, epochs=epochs + [self.epoch])
-        finalize_segment(self.index_dir, part, postings, lineage, metrics, forward)
-        return pa.table(
-            {
-                "part": pa.array([part], type=pa.int32()),
-                "n_docs": pa.array([n_docs], type=pa.int64()),
-                "n_terms": pa.array([int(postings.num_rows)], type=pa.int64()),
-                "total_tokens": pa.array([total_tokens], type=pa.int64()),
-                "posting_bytes": pa.array([int(posting_bytes)], type=pa.int64()),
-                "build_sec": pa.array([time.monotonic() - t0], type=pa.float64()),
-                "skipped": pa.array([False], type=pa.bool_()),
-            },
-            schema=MANIFEST_ROW_SCHEMA,
-        )
+        row = _write_partition(self.index_dir, part, all_runs, forward, n_docs, lineage, t0)
+        return pa.Table.from_pylist([row], schema=MANIFEST_ROW_SCHEMA)
 
 
 def extend_index(
@@ -1721,19 +1298,16 @@ def extend_index(
 
     part_mode = gmeta.get("partitioning", {}).get("mode", "hash")
     R = gmeta.get("partitioning", {}).get("rows_per_part")
-    codec = gmeta.get("codec", "varbyte")
 
     files = list_input_files(new_input)
     if not files:
         raise FileNotFoundError(f"no parquet input under {new_input!r}")
-    scan = ray.remote(num_cpus=1)(scan_file_meta)
-    metas = ray.get([scan.remote(f, n_parts, part_mode) for f in files])
-    ordered = all(m["ok"] for m in metas)
-    for a, b in zip(metas, metas[1:]):
-        if a["last"] is not None and b["first"] is not None and not (a["last"] < b["first"]):
-            ordered = False
-    if not ordered:
-        raise ValueError("extend_index requires the NEW files to be sorted by (conv_id, turn_idx)")
+    metas = _scan_files(files, n_parts, part_mode)
+    bad = _order_violation(files, metas)
+    if bad:
+        raise ValueError(
+            f"extend_index requires the NEW files to be sorted by (conv_id, turn_idx): {bad}"
+        )
     epoch = _epoch_id(files, metas)
 
     # docId bases: existing per-part doc count + prefix sums over new files
@@ -1818,8 +1392,7 @@ def extend_index(
             "skip_parts": done, "use_stopwords": use_stopwords,
             "bases_ref": bases_ref,
             "rows_per_part": R if part_mode == "range" else None,
-            "codec": codec, "analyzer": analyzer,
-            "positions": bool(gmeta.get("positions")),
+            "analyzer": analyzer, "positions": bool(gmeta.get("positions")),
         },
         batch_size=group,
         batch_format="pyarrow",
@@ -1836,7 +1409,6 @@ def extend_index(
                 "new_docs_by_part": new_docs_by_part,
                 "epoch": epoch,
                 "lineage": lineage,
-                "codec": codec,
             },
             batch_format="pyarrow",
             concurrency=(1, concurrency),
@@ -1987,7 +1559,7 @@ def compact_partition(index_dir: str, part: int) -> dict:
 
     pdir = part_dir(index_dir, part)
     t = _pq.read_table(os.path.join(pdir, "postings.parquet")).combine_chunks()
-    codec = get_codec((read_global_manifest(index_dir) or {}).get("codec"))
+    read_global_manifest(index_dir)  # raises on an index of another codec
     fwd_dl = np.asarray(forward_columns(index_dir, part)["dl"], dtype=np.int64)
     terms = t["term"].to_pylist()
     from .codec import decode_posting
@@ -1998,7 +1570,7 @@ def compact_partition(index_dir: str, part: int) -> dict:
         docs, tfs = decode_posting(
             t["doc_bytes"][i].as_py(), t["tf_bytes"][i].as_py(),
             np.asarray(t["blk_first"][i].as_py()),
-            np.asarray(t["blk_count"][i].as_py()), codec,
+            np.asarray(t["blk_count"][i].as_py()),
         )
         (pos if terms[i].startswith(POS_FIELD) else norm).append((terms[i], docs, tfs))
 
@@ -2013,8 +1585,7 @@ def compact_partition(index_dir: str, part: int) -> dict:
         docs = np.concatenate([e[1] for e in entries])
         tfs = np.concatenate([e[2] for e in entries])
         return encode_codes_to_runs(
-            part, codes, docs, tfs, fwd_dl[docs], dict_terms, codec,
-            strict=strict,
+            part, codes, docs, tfs, fwd_dl[docs], dict_terms, strict=strict,
         )
     out = pa.concat_tables([_batch(norm, True), _batch(pos, False)])
     out = out.take(pc.sort_indices(out, sort_keys=[("term", "ascending")]))
@@ -2093,7 +1664,6 @@ def repair_partitions(
         # the rebuilt partitions must land on the SAME range boundaries
         build_kwargs.setdefault("partitioning", "range")
         build_kwargs.setdefault("rows_per_part", pmeta.get("rows_per_part"))
-    build_kwargs.setdefault("codec", gmeta.get("codec", "varbyte"))
     build_kwargs.setdefault("positions", bool(gmeta.get("positions")))
 
     def keys_of(fwd, ids) -> list[tuple[str, int]]:

@@ -82,28 +82,23 @@ RUNS_SCHEMA = pa.schema(
 )
 
 
-# ----------------------------------------------------------- codec SPI
+# ----------------------------------------------------------- value codec
 #
-# The reference swaps bitmap backends behind MiruBitmaps
-# (miru-plugin/.../bitmap/MiruBitmaps.java:35 — roaring5/roaring6). The
-# rebuild's analogue is the VALUE-STREAM codec: how a stream of
-# non-negative ints (doc deltas, tfs) becomes bytes. Everything above the
-# byte payload — the run/block structure, block-max metadata, per-block
-# byte-end offsets, and the offset-subsampling merge — is codec-invariant,
-# so a codec is exactly two functions:
+# The VALUE-STREAM codec turns a stream of non-negative ints (doc deltas,
+# tfs) into bytes; everything above the byte payload — the run/block
+# structure, block-max metadata, per-block byte-end offsets, and the
+# offset-subsampling merge — does not depend on it. The codec is two
+# functions:
 #
 #   encode(values:int64[n]) -> (bytes:uint8[total], ends:int64[n])
 #   decode(buf:uint8[total]) -> uint64[n]
 #
 # ``ends`` (cumulative byte length after each value) is what the block
-# byte-end offsets are derived from, so partial decode works identically
-# for every codec. Registered codecs:
-#   varbyte — delta+LEB128, ~1 byte/doc on dense postings (default)
-#   raw32   — fixed-width little-endian uint32: 4 bytes/value, but decode
-#             is a single frombuffer+cast (no bit unpacking) — the
-#             decode-bound A/B alternative
-# The index's codec is recorded in its manifest (``codec`` key) and every
-# reader passes it down; mixing codecs across indexes in one process works.
+# byte-end offsets are derived from, so partial decode slices a block
+# range's bytes without decoding the rest. There is one codec, VARBYTE:
+# delta+LEB128, ~1 byte/doc on dense postings. index.json records it as
+# ``"codec": "varbyte"`` (segments.POSTING_CODEC); an index naming any
+# other codec refuses to open.
 
 # LEB128 length thresholds: value >= 2^(7k) needs k+1 bytes
 _VB_THRESH = np.uint64(1) << (np.uint64(7) * np.arange(1, 10, dtype=np.uint64))
@@ -163,53 +158,13 @@ def varbyte_decode(buf: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, starts)
 
 
-def raw32_encode(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width codec: each value is 4 little-endian bytes. Encode is a
-    cast; decode is a frombuffer view — zero bit manipulation. Larger on
-    disk than varbyte (4 bytes/value vs ~1 on dense deltas) but the
-    cheapest possible decode. Values must fit uint32 (doc deltas and tfs
-    always do — docIds are int32 in the run schema)."""
-    v = np.asarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return np.empty(0, np.uint8), np.empty(0, np.int64)
-    if v.max() > np.uint64(0xFFFFFFFF):
-        raise ValueError("raw32 codec: value exceeds uint32")
-    buf = v.astype("<u4").view(np.uint8)
-    ends = np.arange(4, 4 * n + 1, 4, dtype=np.int64)
-    return buf, ends
-
-
-def raw32_decode(buf: np.ndarray) -> np.ndarray:
-    b = np.asarray(buf, dtype=np.uint8)
-    return np.frombuffer(b.tobytes(), dtype="<u4").astype(np.uint64)
-
-
 class VarByteCodec:
     name = "varbyte"
     encode = staticmethod(varbyte_encode)
     decode = staticmethod(varbyte_decode)
 
 
-class Raw32Codec:
-    name = "raw32"
-    encode = staticmethod(raw32_encode)
-    decode = staticmethod(raw32_decode)
-
-
 VARBYTE = VarByteCodec()
-RAW32 = Raw32Codec()
-CODECS = {"varbyte": VARBYTE, "raw32": RAW32}
-
-
-def get_codec(name: str | None):
-    """Resolve a codec by manifest name; None/absent → the default."""
-    if name is None:
-        return VARBYTE
-    try:
-        return CODECS[name]
-    except KeyError:
-        raise ValueError(f"unknown posting codec {name!r}; have {sorted(CODECS)}") from None
 
 
 def _reduceat(op, values: np.ndarray, starts: np.ndarray) -> np.ndarray:

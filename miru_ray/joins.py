@@ -19,7 +19,10 @@ textrank/triangles, exact-Jaccard scoring):
   hash-collision risk);
 * arbitrary typed payload columns from both sides (null-filled on the
   other side so the union's schema is identical everywhere — no
-  empty-block schema ambiguity can reach the shuffle);
+  empty-block schema ambiguity can reach the shuffle); a non-empty batch
+  missing a key or payload column raises ``KeyError``;
+* rows with a null key are dropped before the shuffle — they never
+  match, as in a SQL inner join;
 * each bucket group is matched in ONE vectorized pass, never a Python
   row loop.
 
@@ -71,8 +74,18 @@ def bucket_join(
     def _tag(b: pa.Table, is_right: bool) -> pa.Table:
         side_cols = r_cols if is_right else l_cols
         src_keys = r_keys if is_right else key_cols
-        need = src_keys + tuple(side_cols)
-        n = 0 if (b.num_rows == 0 or any(c not in b.schema.names for c in need)) else b.num_rows
+        if b.num_rows:
+            for c in src_keys + tuple(side_cols):
+                if c not in b.schema.names:
+                    side = "right" if is_right else "left"
+                    raise KeyError(f"bucket_join: {side} input has no column {c!r}")
+            # a null key never matches (SQL inner-join semantics)
+            valid = pc.is_valid(b[src_keys[0]])
+            for sk in src_keys[1:]:
+                valid = pc.and_(valid, pc.is_valid(b[sk]))
+            if not pc.all(valid).as_py():
+                b = b.filter(valid)
+        n = b.num_rows
         cols: dict[str, pa.Array] = {}
         h = np.zeros(n, np.uint64)
         for kc, sk in zip(key_cols, src_keys):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import POS_FIELD, decode_posting, get_codec
+from .codec import POS_FIELD, decode_posting
 from .filters import DEFAULT_MAX_WILDCARD_EXPANSION, Filter, parse_query
 from .segments import (
     FIELD_SEP,
@@ -178,28 +178,6 @@ def _manifest_epoch(index_dir: str, part: int) -> float:
         return -1.0
 
 
-_CODEC_CACHE: dict[str, object] = {}
-
-
-def _index_codec(index_dir: str):
-    """The index's posting value codec, from the global manifest's ``codec``
-    key (absent → varbyte, the pre-SPI default). Cached per index_dir: the
-    codec is fixed at build time and never changes across extends/repairs
-    (they inherit it from the same manifest)."""
-    c = _CODEC_CACHE.get(index_dir)
-    if c is None:
-        from .segments import read_global_manifest
-
-        try:
-            name = (read_global_manifest(index_dir) or {}).get("codec")
-        except FileNotFoundError:
-            name = None
-        c = get_codec(name)
-        _CODEC_CACHE[index_dir] = c
-    return c
-
-
-
 # analyzer name per index, keyed by the GLOBAL manifest's mtime epoch (like
 # _MANIFEST_CACHE): extend/repair never change the analyzer, but an
 # in-place REBUILD of the same directory may — the epoch key makes the
@@ -321,7 +299,6 @@ class PostingSource:
                 keys.update(field + FIELD_SEP + t for t in terms)
             else:
                 keys.add(field + FIELD_SEP + v)
-        self._codec = _index_codec(index_dir)
         self.index_dir = index_dir
         self.post: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self.ttf: dict[tuple[str, str], int] = {}
@@ -366,7 +343,6 @@ class PostingSource:
                     None if lazy else tf_raw,
                     blk_first,
                     blk_count,
-                    self._codec,
                 )
                 if not lazy:
                     DECODE_STATS["tf_bytes_decoded"] += len(tf_raw)
@@ -419,7 +395,7 @@ class PostingSource:
 
             blk = self.blocks[(field, term)]
             DECODE_STATS["tf_bytes_decoded"] += len(blk["tf_bytes"])
-            tfs = decode_tf_range(blk["tf_bytes"], blk["tf_end"], 0, len(blk["tf_end"]), self._codec)
+            tfs = decode_tf_range(blk["tf_bytes"], blk["tf_end"], 0, len(blk["tf_end"]))
             self.post[(field, term)] = (p[0], tfs)
             ck = self._ckey + (field + FIELD_SEP + term,)
             hit = _POSTING_CACHE.get(ck)
@@ -451,7 +427,7 @@ class PostingSource:
             return self.tfs(field, term)[pos]
         t_lo = 0 if b_lo == 0 else int(blk["tf_end"][b_lo - 1])
         DECODE_STATS["tf_bytes_decoded"] += int(blk["tf_end"][b_hi - 1]) - t_lo
-        tf_span = decode_tf_range(blk["tf_bytes"], blk["tf_end"], b_lo, b_hi, self._codec)
+        tf_span = decode_tf_range(blk["tf_bytes"], blk["tf_end"], b_lo, b_hi)
         base = 0 if b_lo == 0 else int(cum[b_lo - 1])
         return tf_span[pos - base]
 
@@ -1254,11 +1230,11 @@ class SearchEngine:
                 dead = set(x.get("parts", []))
                 # a partition an epoch re-opened AFTER this expiry ran is
                 # live again — only subtract parts not touched since
-                # (after_epoch = the epoch count at expiry time)
-                cut = x.get("after_epoch")
-                if cut is not None:
-                    for e in epochs[cut:]:
-                        dead.difference_update(e.get("parts_updated", []))
+                # (after_epoch = the epoch count at expiry time; a legacy
+                # record without it counts as cut 0, so any epoch may have
+                # re-opened its parts)
+                for e in epochs[x.get("after_epoch", 0):]:
+                    dead.difference_update(e.get("parts_updated", []))
                 expected.difference_update(dead)
             self.parts = sorted(set(self.parts) | expected, reverse=True)
         # replica RACING (MiruLowestLatencySolver.java:50-205): when the

@@ -104,7 +104,7 @@ FORWARD_SCHEMA = pa.schema(
 # IndexOpenCallback.java, IndexCommitCallback.java,
 # IndexCloseCallback.java): plugins observe partition open / commit /
 # close. The rebuild's equivalent: module-level callback lists fired when
-# a segment manifest is committed (write_segment / finalize_segment) and
+# a segment manifest is committed (finalize_segment) and
 # when an engine opens / closes an index.
 
 _LIFECYCLE_CALLBACKS: dict[str, list] = {"open": [], "commit": [], "close": []}
@@ -166,45 +166,6 @@ def completed_parts(index_dir: str) -> list[int]:
     return sorted(out)
 
 
-def write_segment(
-    index_dir: str,
-    part: int,
-    postings: pa.Table,
-    forward: pa.Table,
-    lineage: dict,
-    metrics: dict,
-) -> dict:
-    """Atomically write one partition segment; manifest LAST (SURVEY.md
-    §7.4(7)). Returns the manifest dict."""
-    import shutil
-
-    final = part_dir(index_dir, part)
-    tmp = final + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    # small row groups → parquet min/max term stats prune reads to the
-    # handful of row groups containing the queried terms
-    pq.write_table(postings, os.path.join(tmp, "postings.parquet"), row_group_size=1024)
-    pq.write_table(forward, os.path.join(tmp, "forward.parquet"), row_group_size=65536)
-    manifest = {
-        "complete": True,
-        "version": INDEX_VERSION,
-        "part": part,
-        "lineage": lineage,
-        "metrics": metrics,
-    }
-    with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f)
-        f.flush()
-        os.fsync(f.fileno())
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.rename(tmp, final)
-    _fire_lifecycle("commit", index_dir, part)
-    return manifest
-
-
 def finalize_segment(
     index_dir: str,
     part: int,
@@ -213,12 +174,14 @@ def finalize_segment(
     metrics: dict,
     forward: pa.Table | None = None,
 ) -> dict:
-    """Streaming-build path: write postings + forward, then the manifest
+    """Write one partition segment: postings + forward, then the manifest
     LAST — the same 'ready after all futures' ordering
-    (MiruIndexer.java:121-123)."""
+    (MiruIndexer.java:121-123; SURVEY.md §7.4(7))."""
     d = part_dir(index_dir, part)
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, "postings.parquet.tmp")
+    # small row groups → parquet min/max term stats prune reads to the
+    # handful of row groups containing the queried terms
     pq.write_table(postings, tmp, row_group_size=1024)
     os.replace(tmp, os.path.join(d, "postings.parquet"))
     if forward is not None:
@@ -251,9 +214,22 @@ def write_global_manifest(index_dir: str, meta: dict) -> None:
     os.rename(tmp, os.path.join(index_dir, "index.json"))
 
 
+# The one posting codec (codec.py's delta+varbyte), recorded as index.json's
+# ``codec``. An index that names any other codec cannot be decoded, so it
+# refuses to open, extend, compact or audit.
+POSTING_CODEC = "varbyte"
+
+
 def read_global_manifest(index_dir: str) -> dict:
     with open(os.path.join(index_dir, "index.json")) as f:
-        return json.load(f)
+        meta = json.load(f)
+    codec = meta.get("codec", POSTING_CODEC)
+    if codec != POSTING_CODEC:
+        raise ValueError(
+            f"{index_dir}: index uses posting codec {codec!r}; "
+            f"only {POSTING_CODEC!r} is supported"
+        )
+    return meta
 
 
 # ------------------------------------------------------------- segment reads

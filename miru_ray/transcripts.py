@@ -60,17 +60,6 @@ def docs_to_transcripts(batch: pa.Table) -> pa.Table:
     )
 
 
-def transcripts_dataset(sf_dir: str):
-    """Ray Dataset of the derived transcripts view over ``sf_dir``/documents."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang", "source"],
-    )
-    return ds.map_batches(docs_to_transcripts, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def conv_to_doc_id(conv_ids: list[str]) -> np.ndarray:
     """Invert the conv_id derivation back to the documents doc_id."""
     return np.array([int(c[4:]) for c in conv_ids], dtype=np.int64)
@@ -84,11 +73,12 @@ def ensure_index(
     analyzer: str = "default",
 ) -> str:
     """Build (once per process+disk) the fulltext index over the derived
-    transcripts view of ``sf_dir``; returns the index dir. Ray must be up."""
-    from .analyzers import tokenizer_meta
-    from .build import SegmentBuilder, route_partition
-    from .segments import completed_parts, write_global_manifest
-    from .segments import INDEX_VERSION, META_FIELDS, NUM_FIELDS, TEXT_FIELD
+    transcripts view of ``sf_dir``; returns the index dir. Ray must be up.
+    The view is materialized as globally sorted shards
+    (``ensure_transcripts_parquet``) and indexed by ``build_index``, which
+    resumes a build a crash cut short."""
+    from .build import build_index
+    from .segments import INDEX_VERSION
 
     key = (os.path.abspath(sf_dir), n_parts, analyzer)
     hit = _INDEX_CACHE.get(key)
@@ -99,52 +89,15 @@ def ensure_index(
     # "pos" tag: this cache dir carries the positional streams — older
     # same-version cache dirs without them are simply not reused
     atag = "" if analyzer == "default" else f"_{analyzer}"
-    # "pos2": cache generation 2 — the round-5 unicode token-class change
-    # (\p{M} marks) drifts analyzer output for mark scripts, so older
-    # cached dirs must regenerate rather than fail the compat check
-    index_dir = os.path.join(base, f"{tag}_p{n_parts}_v{INDEX_VERSION}pos2{atag}")
-    done = frozenset(completed_parts(index_dir))
-    ds = transcripts_dataset(sf_dir)
-    ds = ds.map_batches(
-        route_partition,
-        fn_kwargs={"n_parts": n_parts, "skip_parts": done},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    rows = (
-        ds.groupby("part")
-        .map_groups(
-            SegmentBuilder,
-            fn_constructor_kwargs={
-                "index_dir": index_dir,
-                "lineage": {"input": sf_dir, "derived": "documents→transcripts"},
-                # positional streams on: the driver's phrase oracles query
-                # this shared index; costs ~2x posting bytes at sf0.01 scale
-                "positions": True,
-                "analyzer": analyzer,
-            },
-            batch_format="pyarrow",
-            # autoscaling (min 1): a FIXED 4-actor pool at ray.init(num_cpus=4)
-            # takes every CPU and deadlocks against the upstream read tasks
-            # (the all-or-nothing pool start — same invariant as build.py's
-            # fi_conc guard)
-            concurrency=(1, 4),
-            num_cpus=1,
-        )
-        .take_all()
-    )
-    meta = {
-        "version": 1,
-        "n_parts": n_parts,
-        "positions": True,
-        "tokenizer": tokenizer_meta(analyzer, False),
-        "text_field": TEXT_FIELD,
-        "meta_fields": list(META_FIELDS),
-        "num_fields": list(NUM_FIELDS),
-        "parts_built": sorted({int(r["part"]) for r in rows} | set(done)),
-        "parts_resumed": sorted(done),
-    }
-    write_global_manifest(index_dir, meta)
+    # "pos3": cache generation 3 — built by the streaming build, whose
+    # blocks follow the sorted shards' boundaries; older generations were
+    # built by a since-removed path and must regenerate
+    index_dir = os.path.join(base, f"{tag}_p{n_parts}_v{INDEX_VERSION}pos3{atag}")
+    if not os.path.exists(os.path.join(index_dir, "index.json")):  # written last
+        # positional streams on: __ray_entry__'s phrase oracles query this
+        # shared index; costs ~2x posting bytes at sf0.01 scale
+        build_index(ensure_transcripts_parquet(sf_dir), index_dir, n_parts,
+                    positions=True, analyzer=analyzer)
     _INDEX_CACHE[key] = index_dir
     return index_dir
 

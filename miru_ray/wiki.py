@@ -14,7 +14,7 @@ input file:
     conv_id  = 'wiki-' || zero-padded page id   (dumps are id-ordered, so
                shard-internal row order is already the engine's global
                (conv_id, turn_idx) order; the build verifies it in phase 1
-               and falls back to the sort strategy if a dump violates it)
+               and sorts the rows first if a dump violates it)
     turn_idx = 0 (one article = one single-turn conversation)
     role     = 'article', tool = 'wiki'
     text     = title + ' ' + plain body   (the reference tokenizes

@@ -63,3 +63,28 @@ def tiny_oracle(tiny_rows):
     from miru_ray.oracle import build_oracle_partitions
 
     return build_oracle_partitions(tiny_rows, n_parts=4)
+
+
+@pytest.fixture(scope="session")
+def inprocess_build():
+    """The streaming build's phases run in this process (no Ray Data job):
+    phase-1 scans, one FileIndexer call spilling into ``spill_dir``, then
+    finalize_spilled_partition per partition. Module globals patched by a
+    test (CHUNK_DOCS) and hooks registered here (lifecycle callbacks) are
+    the ones these calls see. Needs ``ray_session`` for the bases ray.put."""
+
+    def run(files, index_dir, spill_dir, n_parts, parts=None):
+        import pyarrow as pa
+        import ray
+
+        import miru_ray.build as B
+
+        metas = [B.scan_file_meta(f, n_parts) for f in files]
+        bases, n_docs_by_part = B.sparse_bases(metas)
+        fi = B.FileIndexer(index_dir, n_parts, frozenset(), spill_dir=spill_dir,
+                           bases_ref=ray.put(bases))
+        fi(pa.table({"path": files, "fidx": list(range(len(files)))}))
+        for p in sorted(n_docs_by_part) if parts is None else parts:
+            B.finalize_spilled_partition(index_dir, spill_dir, p, n_docs_by_part[p], {})
+
+    return run

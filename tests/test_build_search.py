@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from miru_ray.build import build_index, build_segment_table
+from miru_ray.build import build_index
 from miru_ray.codec import decode_posting
 from miru_ray.oracle import oracle_search
 from miru_ray.search import Hit, SearchEngine, search_partition
@@ -198,44 +198,52 @@ def test_serial_equals_parallel(engine):
     ]
 
 
-def test_chunking_invariance(tiny_transcripts_dir):
+def _decoded(postings: pa.Table, i: int):
+    return decode_posting(
+        postings["doc_bytes"][i].as_py(), postings["tf_bytes"][i].as_py(),
+        np.asarray(postings["blk_first"][i].as_py()),
+        np.asarray(postings["blk_count"][i].as_py()),
+    )
+
+
+def assert_same_decoded_index(a: str, b: str) -> None:
+    """Every partition of index ``a`` equals ``b``'s in forward table, term
+    set and decoded (doc, tf) streams — block layout may differ."""
+    assert completed_parts(a) == completed_parts(b)
+    for p in completed_parts(a):
+        assert read_forward_table(a, p).equals(read_forward_table(b, p)), p
+        pa_ = pq.read_table(os.path.join(a, f"part={p:05d}", "postings.parquet"))
+        pb = pq.read_table(os.path.join(b, f"part={p:05d}", "postings.parquet"))
+        assert pa_["term"].to_pylist() == pb["term"].to_pylist(), p
+        for i in range(pa_.num_rows):
+            (d1, t1_), (d2, t2_) = _decoded(pa_, i), _decoded(pb, i)
+            np.testing.assert_array_equal(d1, d2)
+            np.testing.assert_array_equal(t1_, t2_)
+
+
+def test_chunking_invariance(ray_session, tiny_transcripts_dir, inprocess_build, tmp_path):
     """F4.6: segment content independent of in-task chunk size (the two-stage
-    merge must be lossless)."""
+    merge must be lossless). FileIndexer + finalize_spilled_partition run in
+    process, so the patched CHUNK_DOCS is the one they read."""
     import miru_ray.build as B
 
-    t = pa.concat_tables(
-        [pq.read_table(f) for f in sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))]
-    )
-    from miru_ray.build import route_partition
-
-    t = route_partition(t, N_PARTS, frozenset())
-    g = t.filter(pa.compute.equal(t["part"], 1))
+    files = sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))
     old = B.CHUNK_DOCS
     try:
         B.CHUNK_DOCS = 97
-        p1, f1, s1 = build_segment_table(g)
+        inprocess_build(files, str(tmp_path / "c97"), str(tmp_path / "spill97"), N_PARTS)
         B.CHUNK_DOCS = 100_000
-        p2, f2, s2 = build_segment_table(g)
+        inprocess_build(files, str(tmp_path / "c100k"), str(tmp_path / "spill100k"), N_PARTS)
     finally:
         B.CHUNK_DOCS = old
-    assert s1 == s2
-    assert f1.equals(f2)
-    assert p1.num_rows == p2.num_rows
+    a, b = str(tmp_path / "c97"), str(tmp_path / "c100k")
+    assert completed_parts(a) == list(range(N_PARTS))
+    for p in range(N_PARTS):
+        ma, mb = read_manifest(a, p)["metrics"], read_manifest(b, p)["metrics"]
+        for k in ("n_docs", "n_terms", "total_tokens"):
+            assert ma[k] == mb[k], (p, k)
     # decoded postings identical (encoded bytes may differ in block splits)
-    for i in range(p1.num_rows):
-        assert p1["term"][i].as_py() == p2["term"][i].as_py()
-        for tbl in ():
-            pass
-        d1, t1_ = decode_posting(
-            p1["doc_bytes"][i].as_py(), p1["tf_bytes"][i].as_py(),
-            np.asarray(p1["blk_first"][i].as_py()), np.asarray(p1["blk_count"][i].as_py()),
-        )
-        d2, t2_ = decode_posting(
-            p2["doc_bytes"][i].as_py(), p2["tf_bytes"][i].as_py(),
-            np.asarray(p2["blk_first"][i].as_py()), np.asarray(p2["blk_count"][i].as_py()),
-        )
-        np.testing.assert_array_equal(d1, d2)
-        np.testing.assert_array_equal(t1_, t2_)
+    assert_same_decoded_index(a, b)
 
 
 def test_resume_skips_completed(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
@@ -268,41 +276,13 @@ def test_single_partition_direct_task(index_dir, tiny_oracle):
     assert list(r["doc_id"]) == [h.doc_id for h in ohits]
 
 
-def test_sort_strategy_equals_stream(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
-    """The sort-based (groupby raw rows) and streaming (offset) builds must
-    produce byte-identical postings and forward contents."""
-    d = str(tmp_path_factory.mktemp("idx_sortstrat"))
-    meta = build_index(tiny_transcripts_dir, d, n_parts=N_PARTS, strategy="sort")
-    assert "strategy" not in meta or meta.get("strategy") != "stream"
-    for p in range(N_PARTS):
-        a = pq.read_table(os.path.join(index_dir, f"part={p:05d}", "postings.parquet"))
-        b = pq.read_table(os.path.join(d, f"part={p:05d}", "postings.parquet"))
-        assert a.equals(b), p
-        assert read_forward_table(index_dir, p).equals(read_forward_table(d, p)), p
-
-
-def test_groupby_exchange_equals_spill(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
-    """exchange='groupby' (packed runs through the one groupby(part)
-    exchange, SegmentFinalizer actor pool) must equal the default spill
-    exchange byte-for-byte — and must not deadlock the fixed FileIndexer
-    pool against the finalizer pool's min-1 actor (fi_conc is reduced by
-    one in this branch)."""
-    from miru_ray.build import build_index_streaming
-
-    d = str(tmp_path_factory.mktemp("idx_groupby"))
-    meta = build_index_streaming(tiny_transcripts_dir, d, n_parts=N_PARTS, exchange="groupby")
-    assert meta is not None and meta["strategy"] == "stream"
-    for p in range(N_PARTS):
-        a = pq.read_table(os.path.join(index_dir, f"part={p:05d}", "postings.parquet"))
-        b = pq.read_table(os.path.join(d, f"part={p:05d}", "postings.parquet"))
-        assert a.equals(b), p
-        assert read_forward_table(index_dir, p).equals(read_forward_table(d, p)), p
-
-
 def test_auto_falls_back_on_unsorted_input(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
     """Files renamed out of conv order violate the streaming precondition;
-    strategy='auto' must detect it in the metadata pass and fall back to the
-    sort-based build with identical results."""
+    the phase-1 scan detects it and build_index sorts the rows once with
+    Ray Data before the same streaming build. The sorted copy's file
+    boundaries differ from the source's, so runs (and blocks) split
+    differently: forward tables and decoded postings equal the sorted-input
+    build's, and so do the answers."""
     src = str(tmp_path_factory.mktemp("shuffled_input"))
     t = pa.concat_tables(
         [pq.read_table(f) for f in sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))]
@@ -312,12 +292,58 @@ def test_auto_falls_back_on_unsorted_input(ray_session, tiny_transcripts_dir, tm
     pq.write_table(t.slice(half), os.path.join(src, "shard-00000.parquet"))
     pq.write_table(t.slice(0, half), os.path.join(src, "shard-00001.parquet"))
     d = str(tmp_path_factory.mktemp("idx_fallback"))
-    meta = build_index(src, d, n_parts=N_PARTS, strategy="auto")
-    assert meta.get("strategy") != "stream"
-    for p in range(N_PARTS):
-        a = pq.read_table(os.path.join(index_dir, f"part={p:05d}", "postings.parquet"))
-        b = pq.read_table(os.path.join(d, f"part={p:05d}", "postings.parquet"))
-        assert a.equals(b), p
+    os.makedirs(os.path.join(d, ".presort-crashed"))  # left by a crashed build
+    meta = build_index(src, d, n_parts=N_PARTS)
+    # the caller's files stay the catch-up cursor; the sorted copies are gone
+    assert meta["input_files"] == sorted(glob.glob(src + "/*.parquet"))
+    assert not [n for n in os.listdir(d) if n.startswith(".presort")]
+    assert_same_decoded_index(index_dir, d)
+    a, b = SearchEngine(index_dir), SearchEngine(d)
+    for q in ("t1 t7", "t1 OR w00042", "t1 AND NOT t9", "w004*", "role:tool t3"):
+        for scoring in ("bm25", "time"):
+            ha, fa = a.search(q, k=20, scoring=scoring)
+            hb, fb = b.search(q, k=20, scoring=scoring)
+            assert fa == fb, (q, scoring)
+            assert [(h.part, h.doc_id, h.score) for h in ha] == [
+                (h.part, h.doc_id, h.score) for h in hb
+            ], (q, scoring)
+    a.close()
+    b.close()
+
+
+def test_duplicate_key_raises(ray_session, tiny_transcripts_dir, tmp_path_factory):
+    """A (conv_id, turn_idx) key present twice cannot get one docId: the
+    build refuses, naming the key, after the pre-sort re-check."""
+    src = str(tmp_path_factory.mktemp("dup_input"))
+    t = pq.read_table(sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))[0])
+    pq.write_table(t, os.path.join(src, "shard-00000.parquet"))
+    pq.write_table(t.slice(5, 1), os.path.join(src, "shard-00001.parquet"))
+    key = (t["conv_id"][5].as_py(), t["turn_idx"][5].as_py())
+    d = str(tmp_path_factory.mktemp("idx_dup"))
+    with pytest.raises(ValueError, match="duplicate") as ei:
+        build_index(src, d, n_parts=N_PARTS)
+    assert repr(key) in str(ei.value)
+    assert completed_parts(d) == []
+
+
+def test_foreign_codec_refuses_to_open(index_dir, tmp_path):
+    """An index whose manifest names a codec other than varbyte (the only
+    one this engine decodes) refuses to open, extend, compact or audit."""
+    from miru_ray.audit import audit_partition
+    from miru_ray.build import compact_partition, extend_index
+    from miru_ray.segments import read_global_manifest, write_global_manifest
+
+    d = str(tmp_path / "idx_raw32")
+    shutil.copytree(index_dir, d)
+    write_global_manifest(d, dict(read_global_manifest(index_dir), codec="raw32"))
+    for op in (
+        lambda: SearchEngine(d),
+        lambda: extend_index(d, d),
+        lambda: compact_partition(d, 0),
+        lambda: audit_partition(d, 0),
+    ):
+        with pytest.raises(ValueError, match="raw32"):
+            op()
 
 
 def test_actor_engine_equals_tasks(index_dir):
@@ -577,37 +603,6 @@ def test_repair_preserves_tombstones_and_streams(ray_session, tiny_transcripts_d
         assert read_tombstones(d, p).tolist() == before_tomb[p], p
         assert read_stream_set(d, p, "inbox", "s1").tolist() == before_inbox[p], p
         assert read_stream_set(d, p, "unread", "s1").tolist() == before_unread[p], p
-
-
-def test_raw32_codec_index_equals_varbyte(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
-    """The codec SPI end-to-end (the MiruBitmaps two-backend analogue): an
-    index built with codec='raw32' must answer every query family
-    identically to the default varbyte index — decode metadata (blk_*),
-    docIds, tfs and scores are codec-invariant; only the byte payloads
-    differ (bigger: 4 bytes/value)."""
-    from miru_ray.search import SearchEngine
-
-    d = str(tmp_path_factory.mktemp("idx_raw32"))
-    meta = build_index(tiny_transcripts_dir, d, n_parts=N_PARTS, codec="raw32")
-    assert meta["codec"] == "raw32"
-
-    a = SearchEngine(index_dir)
-    b = SearchEngine(d)
-    for q in ("t1 t7", "t1 OR w00042", "t1 AND NOT t9", "w004*",
-              "role:tool t3", "turn_idx:[3 TO 7]"):
-        for scoring in ("ref_tfidf", "bm25", "time"):
-            ha, fa = a.search(q, k=20, scoring=scoring)
-            hb, fb = b.search(q, k=20, scoring=scoring)
-            assert fa == fb, (q, scoring)
-            assert [(h.part, h.doc_id, h.score) for h in ha] == [
-                (h.part, h.doc_id, h.score) for h in hb
-            ], (q, scoring)
-    # raw32 payloads are larger — prove the bytes really differ per codec
-    pb_a = sum(pq.read_table(os.path.join(index_dir, f"part={p:05d}", "postings.parquet"))["doc_bytes"].nbytes for p in range(N_PARTS))
-    pb_b = sum(pq.read_table(os.path.join(d, f"part={p:05d}", "postings.parquet"))["doc_bytes"].nbytes for p in range(N_PARTS))
-    assert pb_b > pb_a
-    a.close()
-    b.close()
 
 
 def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):

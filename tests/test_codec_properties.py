@@ -1,8 +1,7 @@
 """Property-based codec tests (hypothesis): value-codec round-trips,
 posting encode/decode identity, and merge invariance under arbitrary run
-splits — each run for BOTH registered codecs (varbyte and raw32), the SPI
-contract that makes the backends swappable (the MiruBitmaps.java:35
-two-implementations analogue)."""
+splits — each run through the value-codec object (``VARBYTE``) the encode
+and decode paths take."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from miru_ray.codec import (
-    CODECS,
-    RAW32,
     RUNS_SCHEMA,
     VARBYTE,
     decode_posting,
@@ -21,7 +18,7 @@ from miru_ray.codec import (
     varbyte_encode,
 )
 
-BOTH = pytest.mark.parametrize("codec", [VARBYTE, RAW32], ids=["varbyte", "raw32"])
+BOTH = pytest.mark.parametrize("codec", [VARBYTE], ids=["varbyte"])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
@@ -39,7 +36,7 @@ def test_varbyte_roundtrip(values):
 @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_codec_roundtrip(codec, values):
-    """The SPI contract every codec must satisfy: decode(encode(v)) == v and
+    """The value-codec contract: decode(encode(v)) == v and
     ends[-1] == len(buf). Value domain is uint32 (docIds are int32)."""
     v = np.asarray(values, dtype=np.uint64)
     buf, ends = codec.encode(v)
@@ -47,18 +44,6 @@ def test_codec_roundtrip(codec, values):
     if len(v):
         assert ends[-1] == len(buf)
     assert len(ends) == len(v)
-
-
-def test_codec_registry():
-    assert set(CODECS) == {"varbyte", "raw32"}
-    from miru_ray.codec import get_codec
-
-    assert get_codec(None) is VARBYTE
-    assert get_codec("raw32") is RAW32
-    with pytest.raises(ValueError):
-        get_codec("nope")
-    with pytest.raises(ValueError):
-        RAW32.encode(np.array([2**33], dtype=np.uint64))
 
 
 @st.composite

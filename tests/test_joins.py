@@ -107,33 +107,68 @@ def test_empty_sides(ray_session):
     assert out.count() == 0
 
 
+def _with_nulls(rng, values, frac=0.15):
+    """``values`` with about ``frac`` of the entries replaced by null."""
+    mask = rng.random(len(values)) < frac
+    return [None if m else v for v, m in zip(values.tolist(), mask)]
+
+
 def test_matches_duckdb_reference(ray_session):
     """Randomized differential test against DuckDB's JOIN on the same
-    tables (multiset equality of the full result)."""
+    tables (multiset equality of the full result), including null int keys
+    and null string keys — which never match, as in SQL."""
     import duckdb
     import ray.data as rd
 
     rng = np.random.default_rng(7)
     lt = pa.table({
-        "k": pa.array(rng.integers(0, 20, 300), pa.int64()),
-        "w": pa.array(rng.integers(0, 3, 300), pa.int64()),
+        "k": pa.array(_with_nulls(rng, rng.integers(0, 20, 300)), pa.int64()),
+        "s": pa.array(_with_nulls(rng, rng.integers(0, 3, 300).astype(str))),
         "x": pa.array(rng.integers(0, 1000, 300), pa.int64()),
     })
     rt = pa.table({
-        "k": pa.array(rng.integers(0, 20, 100), pa.int64()),
-        "w": pa.array(rng.integers(0, 3, 100), pa.int64()),
+        "k": pa.array(_with_nulls(rng, rng.integers(0, 20, 100)), pa.int64()),
+        "s": pa.array(_with_nulls(rng, rng.integers(0, 3, 100).astype(str))),
         "v": pa.array(rng.random(100).round(6), pa.float64()),
     })
-    out = bucket_join(
-        rd.from_arrow(lt).repartition(8), rd.from_arrow(rt).repartition(8),
-        on=("k", "w"), left_cols={"x": pa.int64()},
-        right_cols={"v": pa.float64()}, num_buckets=16,
-    )
-    got = sorted((r["k"], r["w"], r["x"], r["v"]) for r in out.take_all())
     con = duckdb.connect()
     con.register("lt", lt)
     con.register("rt", rt)
-    want = sorted(map(tuple, con.execute(
-        "SELECT lt.k, lt.w, lt.x, rt.v FROM lt JOIN rt ON lt.k = rt.k AND lt.w = rt.w"
-    ).fetchall()))
-    assert got == want
+    for on, where in (
+        (("k", "s"), "lt.k = rt.k AND lt.s = rt.s"),
+        (("k",), "lt.k = rt.k"),
+        (("s",), "lt.s = rt.s"),
+    ):
+        out = bucket_join(
+            rd.from_arrow(lt).repartition(8), rd.from_arrow(rt).repartition(8),
+            on=on, key_types={"s": pa.string()}, left_cols={"x": pa.int64()},
+            right_cols={"v": pa.float64()}, num_buckets=16,
+        )
+        got = sorted(tuple(r[c] for c in on) + (r["x"], r["v"]) for r in out.take_all())
+        keys = ", ".join(f"lt.{c}" for c in on)
+        want = sorted(map(tuple, con.execute(
+            f"SELECT {keys}, lt.x, rt.v FROM lt JOIN rt ON {where}"
+        ).fetchall()))
+        assert got == want, on
+
+
+def test_missing_column_raises(ray_session, monkeypatch):
+    """A non-empty batch without a named key or payload column is a caller
+    error, never an empty join."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "raise_original_map_exception", True)
+    left = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()), "x": pa.array([10, 20], pa.int64()),
+    }))
+    right = rd.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()), "v": pa.array([1, 2], pa.int64()),
+    }))
+    with pytest.raises(KeyError, match="'xx'"):
+        bucket_join(left, right, on=("k",), left_cols={"xx": pa.int64()},
+                    right_cols={"v": pa.int64()}).take_all()
+    with pytest.raises(KeyError, match="'kk'"):
+        bucket_join(left, right, on=("k",), right_on=("kk",),
+                    left_cols={"x": pa.int64()},
+                    right_cols={"v": pa.int64()}).take_all()

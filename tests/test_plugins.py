@@ -278,7 +278,7 @@ def test_plugin_spi_registry(engine):
         plugins.get_plugin("nope")
 
 
-def test_lifecycle_callbacks(ray_session, tiny_transcripts_dir, tmp_path_factory):
+def test_lifecycle_callbacks(ray_session, tiny_transcripts_dir, tmp_path_factory, inprocess_build):
     """Index lifecycle hooks (IndexOpen/Commit/CloseCallback analogues):
     commit fires once per finalized partition, open/close on engine
     open/close."""
@@ -297,19 +297,12 @@ def test_lifecycle_callbacks(ray_session, tiny_transcripts_dir, tmp_path_factory
         build_index(tiny_transcripts_dir, d, n_parts=N_PARTS)
         # commit callbacks fire in the WORKER processes for the distributed
         # build; rebuild one partition in-process to observe the hook
-        from miru_ray.build import build_segment_table, route_partition
         import glob as _glob
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        from miru_ray.segments import write_segment
 
-        t = pa.concat_tables(
-            [pq.read_table(f) for f in sorted(_glob.glob(tiny_transcripts_dir + "/*.parquet"))]
-        )
-        t = route_partition(t, N_PARTS, frozenset())
-        g = t.filter(pa.compute.equal(t["part"], 0))
-        postings, forward, stats = build_segment_table(g)
-        write_segment(d, 0, postings, forward, {}, dict(stats, posting_bytes=0))
+        files = sorted(_glob.glob(tiny_transcripts_dir + "/*.parquet"))
+        spill = str(tmp_path_factory.mktemp("lifecycle_spill"))
+        assert ("commit", d, 0) not in events
+        inprocess_build(files, d, spill, N_PARTS, parts=[0])
         assert ("commit", d, 0) in events
 
         eng = SearchEngine(d)
@@ -371,12 +364,15 @@ def test_paired_latest_merge_and_extend(ray_session, tiny_transcripts_dir, tiny_
 
     # append one newer turn per conversation seen in partition 0, with a
     # fresh (role, tool) combination that must take over those pairs
-    from miru_ray.build import route_partition
+    from miru_ray.hashing import fnv1a64
 
     last_turn = {}
     for r in tiny_rows:
         last_turn[r["conv_id"]] = max(last_turn.get(r["conv_id"], -1), r["turn_idx"])
-    convs = sorted(last_turn)[:3]
+    all_convs = sorted(last_turn)
+    part = fnv1a64(pa.array(all_convs)) % N_PARTS
+    convs = [c for c, p in zip(all_convs, part) if p == 0][:3]
+    assert len(convs) == 3
     max_ts = max(r["ts"] for r in tiny_rows)
     new = pa.table(
         {

@@ -141,3 +141,29 @@ def test_reopened_partition_not_subtracted(range_idx, tmp_path_factory):
     # a partition expired and never re-opened stays subtracted
     for p in res["expired"][1:]:
         assert p not in eng.parts
+
+
+def test_legacy_expire_record_counts_as_cut_zero(range_idx, tmp_path_factory):
+    """An expire record written before the after_epoch cursor existed is
+    read as cut 0: a partition any extend epoch re-opened stays in the
+    replica-mode expected set, so it is still asked (from the replica)."""
+    from miru_ray.segments import read_global_manifest, write_global_manifest
+    from miru_ray.sync import sync_index
+
+    rep = str(tmp_path_factory.mktemp("retention_rep3"))
+    sync_index(range_idx, rep)
+    b = _bounds(range_idx)
+    order = sorted(b, key=lambda p: b[p][0])
+    res = expire_partitions(range_idx, b[order[1]][0])
+    victim = res["expired"][0]
+
+    meta = read_global_manifest(range_idx)
+    legacy = [{k: v for k, v in x.items() if k != "after_epoch"} for x in meta["expired"]]
+    epochs = list(meta.get("epochs", [])) + [{"parts_updated": [victim]}]
+    write_global_manifest(range_idx, dict(meta, expired=legacy, epochs=epochs))
+
+    eng = SearchEngine(range_idx, replicas=[rep])
+    assert victim not in completed_parts(range_idx)
+    assert victim in eng.parts
+    for p in res["expired"][1:]:
+        assert p not in eng.parts

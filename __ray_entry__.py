@@ -21,6 +21,7 @@ Column-name + value parity notes:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Callable
@@ -61,6 +62,17 @@ def _doc_ids_from_match(results: list[dict]) -> pa.Table:
 
 
 def _engine(sf_dir: str, n_parts: int):
+    """One engine per (sf_dir, n_parts) and Ray session, so its actor pool
+    starts once and serves every callable that queries that index. The
+    session is part of the key because a pool dies with its session."""
+    import ray
+
+    session = ray.get_runtime_context().get_node_id() if ray.is_initialized() else None
+    return _open_engine(sf_dir, n_parts, session)
+
+
+@functools.lru_cache(maxsize=None)
+def _open_engine(sf_dir: str, n_parts: int, session: str | None):
     from miru_ray.search import SearchEngine
     from miru_ray.transcripts import ensure_index
 

@@ -215,7 +215,7 @@ def run_wiki(num_cpus: int, n_pages: int, n_parts: int) -> dict:
         )
         build_sec = time.monotonic() - t0
         n_docs = manifest["totals"]["n_docs"]
-        eng = SearchEngine(index_dir, use_actors=True)
+        eng = SearchEngine(index_dir)
         q_p50 = {}
         found_by_q = {}
         for name, q in WIKI_QUERY_SET.items():
@@ -284,7 +284,7 @@ def run_once(num_cpus: int, sf_dir: str, n_parts: int, build_attempts: int = 1) 
         build_sec = min(build_secs)
         n_turns = manifest["totals"]["n_docs"]
 
-        eng = SearchEngine(index_dir, use_actors=True)
+        eng = SearchEngine(index_dir)
         q_p50 = {}
         for name, q in QUERY_SET.items():
             times = []
@@ -339,7 +339,7 @@ def run_qps(num_cpus: int, sf_dir: str, n_parts: int, clients: int = 8,
     try:
         index_dir = f"/tmp/miru_ray_bench_qps_{os.getpid()}"
         manifest = build_index(src, index_dir, n_parts=n_parts, resume=False)
-        eng = SearchEngine(index_dir, use_actors=True)
+        eng = SearchEngine(index_dir)
         queries = list(QUERY_SET.items())
         for _, q in queries:  # warm actors + posting caches once
             eng.search(q, k=K, scoring="bm25")

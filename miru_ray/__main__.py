@@ -8,8 +8,8 @@ On a cluster:
         --index /data/index --query "error AND NOT timeout" -k 10 --scoring bm25
 
 Locally the same commands work against `ray.init(address="local")`
-(auto-detected). This owns the Ray session (init guarded, shutdown at
-exit); the library never does.
+(auto-detected). ``main`` shuts down at exit only a Ray session it started
+(an in-process caller's session stays up); the library never starts one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def cmd_search(args) -> int:
     _ray_up()
     from .search import SearchEngine
 
-    eng = SearchEngine(args.index, use_actors=args.actors)
+    eng = SearchEngine(args.index)
     if getattr(args, "group_by", None):
         groups, found = eng.group_topk(
             args.query, n_groups=args.k, per_group=args.per_group,
@@ -341,7 +341,6 @@ def main(argv=None) -> int:
     s.add_argument("--query", required=True)
     s.add_argument("-k", type=int, default=10)
     s.add_argument("--scoring", choices=["ref_tfidf", "bm25", "lmd", "time"], default="bm25")
-    s.add_argument("--actors", action="store_true", help="partition-pinned actor pool")
     s.add_argument("--serial", action="store_true",
                    help="serial partition walk with report carry-forward "
                         "(acceptableBelowMin admission; relevance scorers only)")
@@ -476,12 +475,13 @@ def main(argv=None) -> int:
     pl.set_defaults(fn=cmd_pipeline)
 
     args = ap.parse_args(argv)
+    import ray
+
+    started = not ray.is_initialized()
     try:
         return args.fn(args)
     finally:
-        import ray
-
-        if ray.is_initialized():
+        if started and ray.is_initialized():
             ray.shutdown()
 
 

@@ -16,9 +16,9 @@ walk that visits every (index, partition) pair in order.
 
 Scale notes:
 - Non-TIME queries overlap the per-engine Ray fan-outs with a thread per
-  engine (each thread only blocks on ``ray.get``; the tasks themselves
-  run on the shared Ray cluster, so total parallelism is still governed
-  by per-stage ``num_cpus``).
+  engine (each thread only blocks on ``ray.wait``; every member engine's
+  partitions are answered by that engine's own partition-pinned actor
+  pool on the shared Ray cluster).
 - TIME queries walk engines newest→oldest by their ts zone maps and stop
   as soon as the kth hit is provably newer than everything left — with
   time-sharded indexes (the natural 100-TB layout) a newest-first query
@@ -57,14 +57,14 @@ class FederatedEngine:
     federation the last search actually touched (the early-exit /
     zone-pruning observability the per-index engine already has)."""
 
-    def __init__(self, index_dirs: list[str], use_actors: bool = False,
+    def __init__(self, index_dirs: list[str],
                  replicas: dict[str, list[str]] | None = None,
                  allow_mixed_analyzers: bool = False):
         """``replicas`` maps an index dir to its replica dirs
         (sync.sync_index outputs); each member engine fails a partition
-        over to its replicas when the primary's task raises — the
-        federation-level availability story (MiruLowestLatencySolver
-        analogue, failure-triggered).
+        over to its replicas when the primary's ask raises, and races
+        them when its pool stalls — the federation-level availability
+        story (MiruLowestLatencySolver analogue).
 
         Members must share the analysis contract (analyzer + stopwords):
         a federated query is parsed ONCE per member engine with that
@@ -73,7 +73,7 @@ class FederatedEngine:
         (the registry enforces the same invariant at registration)."""
         replicas = replicas or {}
         self.engines = [
-            SearchEngine(d, use_actors=use_actors, replicas=replicas.get(d))
+            SearchEngine(d, replicas=replicas.get(d))
             for d in index_dirs
         ]
         if not allow_mixed_analyzers and len(self.engines) > 1:
@@ -149,7 +149,7 @@ class FederatedEngine:
 
     def _ask_all(self, query: str, kw: dict, active: list[int]):
         """One blocking sub-search per engine, overlapped with a thread per
-        engine (each only waits on ray.get; compute runs on the cluster)."""
+        engine (each only waits on its pool; compute runs on the cluster)."""
         if len(active) <= 1:
             return [self.engines[i].search(query, **kw) for i in active]
         from concurrent.futures import ThreadPoolExecutor

@@ -159,10 +159,11 @@ def distincts_partition(
 def distincts(engine, field: str, prefix: str = "", query: str | None = None,
               time_range: tuple[int, int] | None = None) -> list[str]:
     use_stop = bool(engine.meta.get("tokenizer", {}).get("stopwords"))
-    res = _fan(engine, distincts_partition,
-               dict(field=field, prefix=prefix, query=query,
-                    use_stopwords=use_stop, time_range=time_range),
-               parts=engine._active_parts(time_range))
+    res = engine._fan_out(
+        distincts_partition,
+        dict(field=field, prefix=prefix, query=query,
+             use_stopwords=use_stop, time_range=time_range),
+        parts=engine._active_parts(time_range))
     out: set[str] = set()
     for r in res:
         out.update(r)
@@ -230,8 +231,8 @@ def aggregate_counts_partition(
 
 def aggregate_counts(engine, pivot_field: str, query: str | None = None, k: int = 0):
     use_stop = bool(engine.meta.get("tokenizer", {}).get("stopwords"))
-    res = _fan(engine, aggregate_counts_partition,
-               dict(pivot_field=pivot_field, query=query, use_stopwords=use_stop))
+    res = engine._fan_out(aggregate_counts_partition,
+                          dict(pivot_field=pivot_field, query=query, use_stopwords=use_stop))
     agg: dict[str, list[int]] = {}
     for part_rows, part in zip(res, engine.parts):
         for term, c, last in part_rows:
@@ -323,9 +324,9 @@ def aggregate_counts_inbox(
     (term, count, part, latest_doc, oldest_part, oldest_doc, any_unread,
     latest_unread, oldest_unread)."""
     use_stop = bool(engine.meta.get("tokenizer", {}).get("stopwords"))
-    res = _fan(engine, aggregate_counts_inbox_partition,
-               dict(stream_id=stream_id, pivot_field=pivot_field, query=query,
-                    use_stopwords=use_stop, include_unread=include_unread))
+    res = engine._fan_out(aggregate_counts_inbox_partition,
+                          dict(stream_id=stream_id, pivot_field=pivot_field, query=query,
+                               use_stopwords=use_stop, include_unread=include_unread))
     # per term: [count, latest_part, latest_doc, latest_unread,
     #            oldest_part, oldest_doc, oldest_unread, any_unread]
     agg: dict[str, list] = {}
@@ -362,8 +363,8 @@ def waveform_partition(
 
 def waveform(engine, bucket_us: int, query: str | None = None) -> dict[int, int]:
     use_stop = bool(engine.meta.get("tokenizer", {}).get("stopwords"))
-    res = _fan(engine, waveform_partition,
-               dict(bucket_us=bucket_us, query=query, use_stopwords=use_stop))
+    res = engine._fan_out(waveform_partition,
+                          dict(bucket_us=bucket_us, query=query, use_stopwords=use_stop))
     out: dict[int, int] = {}
     for r in res:
         for b, c in r.items():
@@ -446,7 +447,7 @@ def latest_first_partition(index_dir: str, part: int, field: str, prefix: str = 
 
 
 def latest_first(engine, field: str, prefix: str = ""):
-    res = _fan(engine, latest_first_partition, dict(field=field, prefix=prefix))
+    res = engine._fan_out(latest_first_partition, dict(field=field, prefix=prefix))
     return {part: rows for part, rows in zip(engine.parts, res)}
 
 
@@ -485,8 +486,7 @@ def paired_latest(engine, field_a: str = "role", field_b: str = "tool"):
     """Cross-partition pairedLatest merge: per (va, vb) keep the hit with
     the greatest ts (tie → higher partition id, the newer segment in walk
     order). Returns sorted (va, vb, part, doc, ts) tuples."""
-    res = _fan(engine, paired_latest_partition,
-               dict(field_a=field_a, field_b=field_b))
+    res = engine._fan_out(paired_latest_partition, dict(field_a=field_a, field_b=field_b))
     best: dict[tuple, tuple] = {}
     for part, rows in zip(engine.parts, res):
         for va, vb, doc, ts in rows:
@@ -529,10 +529,7 @@ def registered_plugins() -> list[str]:
     return sorted(_PLUGIN_REGISTRY)
 
 
-# ----------------------------------------------------------------- fan-out
-
-
-_REMOTE_FNS: dict = {}
+# ------------------------------------------------------------------- strut
 
 
 def strut_partition(
@@ -594,35 +591,9 @@ def strut(engine, model: dict[str, float], strategy: str = "unit_weighted",
           query: str | None = None):
     """All partitions' index-backed Strut scores, flattened."""
     use_stop = bool(engine.meta.get("tokenizer", {}).get("stopwords"))
-    res = _fan(engine, strut_partition,
-               dict(model=model, strategy=strategy, query=query, use_stopwords=use_stop))
+    res = engine._fan_out(strut_partition,
+                          dict(model=model, strategy=strategy, query=query, use_stopwords=use_stop))
     return [row for rows in res for row in rows]
-
-
-def _fan(engine, fn, kwargs: dict, parts: list[int] | None = None) -> list:
-    """One task per partition (Ray when available), results in engine.parts
-    order — the same scatter pattern as SearchEngine._fan_out. Remote
-    handles are cached per function so the function is exported once per
-    session, not once per query. ``parts`` narrows the fan-out (e.g. the
-    ts-zone-map-pruned active set for a time-ranged question)."""
-    if parts is None:
-        parts = engine.parts
-    try:
-        import ray
-
-        use_ray = ray.is_initialized() and len(parts) > 1
-    except ImportError:
-        use_ray = False
-    if use_ray:
-        import ray
-
-        rfn = _REMOTE_FNS.get(fn)
-        if rfn is None:
-            rfn = ray.remote(num_cpus=1)(fn)
-            _REMOTE_FNS[fn] = rfn
-        futs = [rfn.remote(engine.index_dir, p, **kwargs) for p in parts]
-        return ray.get(futs)
-    return [fn(engine.index_dir, p, **kwargs) for p in parts]
 
 
 def term_dfs_partition(
@@ -660,7 +631,7 @@ def mlt_select_terms(
     tf = Counter(py_tokenize(text, use_stopwords=use_stop))
     if not tf:
         return []
-    res = _fan(engine, term_dfs_partition, dict(field=field, terms=sorted(tf)))
+    res = engine._fan_out(term_dfs_partition, dict(field=field, terms=sorted(tf)))
     df: Counter = Counter()
     for d in res:
         df.update(d)

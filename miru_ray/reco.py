@@ -275,10 +275,8 @@ def reco_cf_index(engine, user_conv: str, k: int = 10, item_prefix: str = "") ->
     """Cross-partition reco: per-partition answers merged by summing counts
     per item, final (count desc, term asc) truncate to k — the
     RecoAnswerMerger contract (RecoAnswerMerger.java:34-87)."""
-    from .plugins import _fan
-
-    res = _fan(engine, reco_cf_partition,
-               dict(user_conv=user_conv, k=k, item_prefix=item_prefix))
+    res = engine._fan_out(reco_cf_partition,
+                          dict(user_conv=user_conv, k=k, item_prefix=item_prefix))
     merged: dict[str, int] = {}
     for rows in res:
         for t, c in rows:

@@ -140,7 +140,7 @@ class Registry:
             raise KeyError(tenant)
         return doc["tenants"][tenant]
 
-    def engine_for(self, tenant: str, use_actors: bool = False):
+    def engine_for(self, tenant: str):
         """The tenant's query engine: a plain ``SearchEngine`` for a
         single-index tenant, a ``FederatedEngine`` otherwise — replicas
         wired through for partition failover in both cases."""
@@ -150,8 +150,5 @@ class Registry:
         rec = self.describe(tenant)
         dirs = rec["indexes"]
         if len(dirs) == 1:
-            return SearchEngine(
-                dirs[0], use_actors=use_actors,
-                replicas=rec["replicas"].get(dirs[0]),
-            )
-        return FederatedEngine(dirs, use_actors=use_actors, replicas=rec["replicas"])
+            return SearchEngine(dirs[0], replicas=rec["replicas"].get(dirs[0]))
+        return FederatedEngine(dirs, replicas=rec["replicas"])

@@ -3,8 +3,9 @@
 Re-implements the reference's query path (SURVEY.md §3.3;
 FullTextCustomQuestion.askLocal → MiruAggregateUtil.filter →
 FullText.collectTfIdf → FullTextAnswerMerger.merge) over our segment
-layout, Ray-Data-style: the query plan (parsed filter AST + scoring config)
-is broadcast to one task per partition; each task does posting reads with
+layout: the query plan (parsed filter AST + scoring config) is sent to the
+partition-pinned actor pool when Ray is in use, and asked of each partition
+serially in process otherwise; each partition does posting reads with
 parquet term-pushdown, sorted-array set algebra, fp32 scoring and a local
 top-k; the driver does the exact two-pointer ordered merge.
 
@@ -67,10 +68,6 @@ LMD_MU = 1500.0  # Dirichlet smoothing mass (Zhai & Lafferty 2004 default range)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# per-process cache of ray.remote-wrapped helpers (exported to the cluster
-# once per session, not once per call — same pattern as plugins._REMOTE_FNS)
-_REMOTE_FNS: dict = {}
-
 
 @dataclass
 class Hit:
@@ -107,8 +104,8 @@ def _has_phrase(filt: Filter) -> bool:
 # per-process decoded-posting cache: (index_dir, part, epoch, "field\x1fterm")
 # → (docs, tfs, ttf, df) | None-for-absent. The analogue of the reference's
 # per-partition bitmap caches held by reader nodes (LAB leap cache /
-# StrutModelCache.java pattern). Worker processes are reused across Ray
-# tasks, and partition-pinned query actors make hits deterministic. The
+# StrutModelCache.java pattern). Partition-pinned query actors keep it warm
+# across queries and make hits deterministic. The
 # epoch component is the partition manifest's mtime: extend_index / repair
 # rewrite postings.parquet + manifest, so warm workers must not serve the
 # pre-extend postings or n_docs (mirrors _FORWARD_CACHE/_TOMBSTONE_CACHE).
@@ -615,7 +612,7 @@ def eval_filter_np(
     raise ValueError(filt.op)
 
 
-# ------------------------------------------------------------ partition task
+# ------------------------------------------------------------ partition ask
 
 
 # per-process authz mask cache: composed allowed-docs set per
@@ -728,9 +725,10 @@ def search_partition(
     collapse: str | None = None,
     group_by: tuple[str, tuple, int] | None = None,
 ) -> dict:
-    """One partition's answer with absent report. Returns plain arrays (ray
-    task friendly). ``prune=False`` forces the full-evaluation path (used by
-    tests to cross-check the block-max pruned path).
+    """One partition's answer with absent report. Returns plain arrays
+    (cheap to ship back from a pool actor). ``prune=False`` forces the
+    full-evaluation path (used by tests to cross-check the block-max pruned
+    path).
 
     ``collapse`` — field collapsing (Lucene CollapsingTopDocsCollector):
     at most one hit per distinct value of the named forward field
@@ -1049,9 +1047,9 @@ def _gather(fwd: dict, part: int, docs: np.ndarray, scores: np.ndarray, found: i
     }
 
 
-def _export_match_partition(index_dir: str, query: str, out_dir: str,
-                            time_range, authz, use_stopwords: bool,
-                            part: int) -> dict:
+def _export_match_partition(index_dir: str, part: int, query: str,
+                            out_dir: str, time_range, authz,
+                            use_stopwords: bool) -> dict:
     """One partition of export_match: match → forward gather → one parquet
     file, atomic and idempotent (present file == done)."""
     import os as _os
@@ -1138,25 +1136,20 @@ class PartitionSearcher:
     """Ray actor owning a fixed slice of partitions — the reference's
     reader-node partition context (MiruLocalHostedPartition): forward
     tables, manifests and hot postings stay resident in the actor between
-    queries. One call answers all owned partitions serially (they are few);
-    actors run in parallel."""
+    queries. One call answers the asked owned partitions serially (they are
+    few); actors run in parallel."""
 
     def __init__(self, index_dir: str, parts: list[int]):
         self.index_dir = index_dir
-        self.parts = list(parts)
-        from .segments import forward_columns
+        for p in parts:  # warm forward + manifest
+            try:
+                _cached_manifest(index_dir, p)
+                forward_columns(index_dir, p)
+            except Exception:  # noqa: BLE001 — a broken partition fails over at ask time
+                pass
 
-        for p in self.parts:  # warm forward + manifest
-            _cached_manifest(index_dir, p)
-            forward_columns(index_dir, p)
-
-    def search_many(self, kwargs: dict) -> list[dict]:
-        return [search_partition(self.index_dir, p, **kwargs) for p in self.parts]
-
-    def search_parts(self, parts: list[int], kwargs: dict) -> list[dict]:
-        """Answer only the named owned partitions (zone-pruned queries and
-        TIME early-exit waves)."""
-        return [search_partition(self.index_dir, p, **kwargs) for p in parts]
+    def run(self, fn, parts: list[int], kwargs: dict) -> list:
+        return [fn(self.index_dir, p, **kwargs) for p in parts]
 
 
 def _hits_of(r: dict) -> list[Hit]:
@@ -1175,13 +1168,16 @@ def _hits_of(r: dict) -> list[Hit]:
 
 
 class SearchEngine:
-    """Query API over a built index. The scatter-gather driver: one task per
-    partition (Ray tasks when Ray is up, serial otherwise), ordered merge.
-    The reference analogue is Miru.askAndMerge (MiruService.java:101-194).
-
-    ``use_actors=True`` starts a partition-pinned actor pool (reader-node
-    pattern): segment state stays resident across queries, cutting repeat
-    latency ~10×. Actors are created lazily on the first query.
+    """Query API over a built index. The scatter-gather driver, ordered
+    merge; the reference analogue is Miru.askAndMerge
+    (MiruService.java:101-194). With Ray in use (``parallel=True``, or
+    None with Ray initialized) and more than one partition asked, every
+    per-partition question runs on a partition-pinned actor pool (the
+    reader-node pattern): segment state stays resident across queries.
+    The pool starts lazily on the first Ray fan-out, holds
+    min(partitions, cluster CPUs) actors that reserve no logical CPU, and
+    is released by ``close``. Otherwise partitions are asked serially in
+    process.
 
     Partition pruning: every partition manifest records a ts zone map
     (``ts_min``/``ts_max``). Queries with a ``time_range`` skip partitions
@@ -1196,8 +1192,7 @@ class SearchEngine:
     partitions, with range partitioning it stops after the first wave.
     ``last_parts_asked`` exposes how many partitions the last search hit."""
 
-    def __init__(self, index_dir: str, use_actors: bool = False, n_actors: int | None = None,
-                 replicas: list[str] | None = None, race: bool = True):
+    def __init__(self, index_dir: str, replicas: list[str] | None = None):
         from collections import deque
 
         from .segments import _fire_lifecycle
@@ -1206,13 +1201,12 @@ class SearchEngine:
         self.meta = read_global_manifest(index_dir)
         _check_tokenizer_compat(self.meta, index_dir)
         self.parts = sorted(completed_parts(index_dir), reverse=True)  # newest→oldest
-        # replica failover (the MiruLowestLatencySolver.java:50-205 analogue,
-        # failure-triggered instead of latency-raced): byte-verified replica
-        # dirs (sync.sync_index) answer a partition when the primary's task
-        # raises. With replicas configured, the expected part set comes from
-        # the manifest too, so a partition whose DIRECTORY vanished from the
-        # primary is still asked (and failed over) rather than silently
-        # dropped from the answer.
+        # replica failover (the MiruLowestLatencySolver.java:50-205 analogue):
+        # byte-verified replica dirs (sync.sync_index) answer a partition
+        # when the primary's ask raises. With replicas configured, the
+        # expected part set comes from the manifest too, so a partition whose
+        # DIRECTORY vanished from the primary is still asked (and failed
+        # over) rather than silently dropped from the answer.
         self.replicas = list(replicas or [])
         if self.replicas:
             # expected parts = the build's + every extend epoch's (range
@@ -1238,18 +1232,13 @@ class SearchEngine:
                 expected.difference_update(dead)
             self.parts = sorted(set(self.parts) | expected, reverse=True)
         # replica RACING (MiruLowestLatencySolver.java:50-205): when the
-        # primary's ask for a partition runs past the suggested timeout —
-        # a high percentile of recently observed ask latencies — the same
-        # question is fired at a replica and the first answer wins.
-        # Failover (re-ask on failure) is always on; racing additionally
-        # bounds tail latency on a congested primary. No suggestion exists
-        # until enough samples accumulate, so cold engines never race.
-        self.race = bool(race)
+        # pool stalls past the suggested timeout — a high percentile of
+        # recently observed ask latencies — the stragglers' partitions are
+        # answered from the replicas. Failover (re-ask on failure) and
+        # racing are always on; no suggestion exists until enough samples
+        # accumulate, so cold engines never race.
         self._lat: "deque[float]" = deque(maxlen=256)
-        self.use_actors = use_actors
-        self.n_actors = n_actors
         self._actors: list | None = None
-        self._actor_parts: list[list[int]] = []
         self._actor_of: dict[int, int] = {}
         self.last_parts_asked = 0
         _fire_lifecycle("open", index_dir)  # IndexOpenCallback analogue
@@ -1302,20 +1291,15 @@ class SearchEngine:
             return
         import ray
 
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        # leave headroom for the driver on big boxes; never request more
-        # actors than CPUs (pending actors on a saturated box would hang
-        # the all-actor fan-out)
-        n = self.n_actors or min(len(self.parts), max(1, cpus - 2) if cpus > 2 else cpus)
-        cls = ray.remote(num_cpus=1)(PartitionSearcher)
-        self._actor_parts = [self.parts[i::n] for i in range(n)]
-        self._actor_parts = [p for p in self._actor_parts if p]
-        self._actors = [
-            cls.remote(self.index_dir, parts) for parts in self._actor_parts
-        ]
-        self._actor_of = {
-            p: i for i, parts in enumerate(self._actor_parts) for p in parts
-        }
+        # num_cpus=0: the resident actors of open engines must never hold
+        # the CPUs a Ray Data build or extend waits for. max_restarts lets
+        # Ray restart a crashed actor and retry the call it was running.
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        n = min(len(self.parts), max(1, cpus))
+        cls = ray.remote(num_cpus=0, max_restarts=1, max_task_retries=1)(PartitionSearcher)
+        slices = [self.parts[i::n] for i in range(n)]
+        self._actors = [cls.remote(self.index_dir, ps) for ps in slices]
+        self._actor_of = {p: i for i, ps in enumerate(slices) for p in ps}
 
     def search(
         self,
@@ -1363,7 +1347,7 @@ class SearchEngine:
         if scoring == "time" and k > 0 and len(active) > 1 and early_exit:
             return self._time_walk(kwargs, parallel, active, k)
         self.last_parts_asked = len(active)
-        results = self._fan_out(kwargs, parallel, parts=active)
+        results = self._fan_out(search_partition, kwargs, parallel, parts=active)
         merged: list[Hit] = []
         found = 0
         first = True
@@ -1400,7 +1384,7 @@ class SearchEngine:
         for i in range(len(active) - 1, -1, -1):
             rest_max[i] = run
             run = max(run, bmax[i])
-        wave = max(1, self._wave_width(parallel, len(active)))
+        wave = self._wave_width(parallel)
         # collapse keeps the exit sound: remaining partitions' hits have
         # strictly older ts, so they can neither enter the top-k nor win a
         # key dedup against a kept (newer) rep
@@ -1411,7 +1395,7 @@ class SearchEngine:
         asked = 0
         for w0 in range(0, len(active), wave):
             chunk = active[w0 : w0 + wave]
-            for r in self._fan_out(kwargs, parallel, parts=chunk):
+            for r in self._fan_out(search_partition, kwargs, parallel, parts=chunk):
                 hits = _hits_of(r)
                 found += r["found"]
                 if first:
@@ -1428,23 +1412,13 @@ class SearchEngine:
         self.last_parts_asked = asked
         return merged, found
 
-    def _wave_width(self, parallel: bool | None, n_active: int) -> int:
-        """Parallelism of one early-exit wave: all workers busy, but no
-        bigger — a full fan-out would defeat the exit."""
-        try:
-            import ray
-
-            use_ray = ray.is_initialized() if parallel is None else parallel
-        except ImportError:
-            use_ray = False
-        if not use_ray:
+    def _wave_width(self, parallel: bool | None) -> int:
+        """Parallelism of one early-exit wave: every pool actor busy, but
+        no more — a full fan-out would defeat the exit. 1 without Ray."""
+        if not _ray_in_use(parallel):
             return 1
-        if self.use_actors and n_active > 1:
-            self._ensure_actors()
-            return max(1, len(self._actors or []))
-        import ray
-
-        return max(1, int(ray.cluster_resources().get("CPU", 8)) - 2)
+        self._ensure_actors()
+        return len(self._actors)
 
     def search_serial(
         self,
@@ -1489,7 +1463,7 @@ class SearchEngine:
             if report is not None:
                 kw["min_score"] = report[1]
                 kw["below_min"] = max(0, k - report[0])
-            r = self._ask_serial(p, kw)
+            r = self._ask_serial(search_partition, p, kw)
             hits = _hits_of(r)
             found += r["found"]
             merged = hits[:k] if report is None else _merge_two(merged, hits, k)
@@ -1561,7 +1535,7 @@ class SearchEngine:
         )
         active = self._active_parts(time_range)
         per_key: dict[str, list[Hit]] = {kv: [] for kv in key_order}
-        for r in self._fan_out(kwargs, parallel, parts=active):
+        for r in self._fan_out(search_partition, kwargs, parallel, parts=active):
             hits = _hits_of(r)
             by: dict[str, list[Hit]] = {}
             for g, h in zip(r["group"], hits):
@@ -1595,7 +1569,7 @@ class SearchEngine:
         )
         active = self._active_parts(time_range)
         self.last_parts_asked = len(active)
-        return self._fan_out(kwargs, parallel, parts=active)
+        return self._fan_out(search_partition, kwargs, parallel, parts=active)
 
     def export_match(
         self,
@@ -1643,24 +1617,10 @@ class SearchEngine:
             with open(tmp, "w") as f:
                 _json.dump(spec, f)
             _os.replace(tmp, marker)
-        active = self._active_parts(time_range)
-        args = (self.index_dir, query, out_dir, time_range, authz, use_stop)
-        try:
-            import ray
-
-            use_ray = ray.is_initialized() if parallel is None else parallel
-        except ImportError:
-            use_ray = False
-        if use_ray and len(active) > 1:
-            import ray
-
-            fn = _REMOTE_FNS.get(_export_match_partition)
-            if fn is None:
-                fn = ray.remote(num_cpus=1)(_export_match_partition)
-                _REMOTE_FNS[_export_match_partition] = fn
-            results = ray.get([fn.remote(*args, p) for p in active])
-        else:
-            results = [_export_match_partition(*args, p) for p in active]
+        kwargs = dict(query=query, out_dir=out_dir, time_range=time_range,
+                      authz=authz, use_stopwords=use_stop)
+        results = self._fan_out(_export_match_partition, kwargs, parallel,
+                                parts=self._active_parts(time_range))
         return {
             "out_dir": out_dir,
             "files": len(results),
@@ -1814,162 +1774,119 @@ class SearchEngine:
                 df[t] = df.get(t, 0) + n
         return df
 
-    def _replica_answer(self, p: int, kwargs: dict, cause: Exception) -> dict:
-        """Re-ask partition ``p`` on each replica dir in order (the
-        reference races replicas for latency, MiruLowestLatencySolver;
-        here replicas answer on primary FAILURE — same availability
-        contract, no duplicate work on the common path)."""
-        last: Exception = cause
+    def _replica_answer(self, fn, p: int, kwargs: dict, cause: Exception | None):
+        """Re-ask partition ``p`` on each replica dir in order; raises the
+        last replica's error (or ``cause`` without replicas)."""
+        last = cause
         for rep in self.replicas:
             try:
-                return search_partition(rep, p, **kwargs)
+                return fn(rep, p, **kwargs)
             except Exception as e:  # noqa: BLE001 — try the next replica
                 last = e
         raise last
 
-    def _ask_serial(self, p: int, kwargs: dict) -> dict:
+    def _ask_serial(self, fn, p: int, kwargs: dict):
+        """Ask the primary in process, failing over to the replicas. Only
+        the primary attempt's latency is sampled for the racing trigger."""
         import time as _time
 
         t0 = _time.monotonic()
         try:
+            return fn(self.index_dir, p, **kwargs)
+        except Exception as e:  # noqa: BLE001
             if not self.replicas:
-                return search_partition(self.index_dir, p, **kwargs)
-            try:
-                return search_partition(self.index_dir, p, **kwargs)
-            except Exception as e:  # noqa: BLE001
-                return self._replica_answer(p, kwargs, e)
+                raise
+            cause = e
         finally:
             self._lat.append(_time.monotonic() - t0)
+        return self._replica_answer(fn, p, kwargs, cause)
 
     def _suggested_timeout(self) -> float | None:
         """The racing trigger (MiruLowestLatencySolver.java:84-193): 3×
         the p95 of recently observed per-partition ask latencies, floored
         at 50 ms; None (no racing) until 16 samples exist — a cold engine
         has no basis for declaring the primary slow. Samples are serial
-        asks and each gather's FIRST completion (the closest observable
-        to one ask's true latency — later completions include queue wait
-        behind the worker pool and would inflate the trigger until it
-        never fired)."""
-        if not self.race or len(self._lat) < 16:
+        primary asks and each pool gather's FIRST completion (the closest
+        observable to one ask's true latency — later completions include
+        queue wait behind busy actors and would inflate the trigger until
+        it never fired)."""
+        if len(self._lat) < 16:
             return None
         arr = sorted(self._lat)
         return max(3.0 * arr[min(len(arr) - 1, int(0.95 * len(arr)))], 0.05)
 
-    def _gather_raced(self, parts: list[int], futs: list, kwargs: dict) -> list[dict]:
-        """Collect primary partition futures; racing triggers as a STALL
-        detector — when no completion arrives for a suggested-timeout
-        interval, the stragglers are RACED against the replicas (same
-        question fired at each replica dir, first successful answer wins,
-        losers cancelled best-effort). The stall form keeps a fan-out
-        wider than the worker pool from racing merely-queued partitions:
-        while completions keep flowing the clock resets. A primary that
-        fails outright still takes the failover path."""
+    def _fan_out(self, fn, kwargs: dict, parallel: bool | None = None,
+                 parts: list[int] | None = None) -> list:
+        """``[fn(index_dir, p, **kwargs) for p in parts]`` in ``parts``
+        order — the one per-partition scatter behind search, count, match,
+        group_topk, export_match and every plugin. With Ray in use and
+        more than one partition asked the pool answers; otherwise the
+        partitions are asked serially in process. Both paths fail a
+        partition over to the replicas."""
+        parts = self.parts if parts is None else parts
+        if len(parts) > 1 and _ray_in_use(parallel):
+            return self._ask_pool(fn, parts, kwargs)
+        return [self._ask_serial(fn, p, kwargs) for p in parts]
+
+    def _ask_pool(self, fn, parts: list[int], kwargs: dict) -> list:
+        """One call per owning actor's slice of ``parts``, gathered by one
+        ``ray.wait`` loop. A slice whose call raises fails its partitions
+        over to the replicas. Racing is a STALL detector: when no slice
+        completes for a suggested-timeout interval, the driver answers
+        every pending slice's partitions from the replicas in process; a
+        partition whose replicas all fail waits on its primary. Each
+        completion resets the clock, so slices merely queued behind a busy
+        actor are not raced."""
         import time as _time
 
         import ray
 
-        timeout = self._suggested_timeout()
+        self._ensure_actors()
+        by_actor: dict[int, list[int]] = {}
+        for p in parts:
+            by_actor.setdefault(self._actor_of[p], []).append(p)
+        slices = {
+            self._actors[i].run.remote(fn, ps, kwargs): ps for i, ps in by_actor.items()
+        }
+        timeout = self._suggested_timeout() if self.replicas else None
+        out: dict[int, object] = {}
+        pending = list(slices)
         t0 = _time.monotonic()
-        by_fut = {f: p for f, p in zip(futs, parts)}
-        results: dict[int, dict] = {}
-        pending = list(futs)
-        first_done = False
-        deadline = None if timeout is None else t0 + timeout
+        first = True
         while pending:
-            remain = None if deadline is None else max(0.0, deadline - _time.monotonic())
-            done, pending = ray.wait(pending, num_returns=1, timeout=remain)
-            if not done:
-                break  # stalled for a full suggested timeout — race
-            now = _time.monotonic()
-            if not first_done:
-                first_done = True
-                self._lat.append(now - t0)
-            if deadline is not None:
-                deadline = now + timeout  # completion arrived: reset the stall clock
-            p = by_fut[done[0]]
+            done, pending = ray.wait(pending, num_returns=1, timeout=timeout)
+            if not done:  # stalled a full suggested timeout: race every straggler
+                for fut in pending:
+                    for p in slices[fut]:
+                        try:
+                            out[p] = self._replica_answer(fn, p, kwargs, None)
+                        except Exception:  # noqa: BLE001 — its primary still answers
+                            pass
+                pending = [f for f in pending if any(p not in out for p in slices[f])]
+                timeout = None
+                continue
+            if first:
+                first = False
+                self._lat.append(_time.monotonic() - t0)
+            ps = slices[done[0]]
             try:
-                results[p] = ray.get(done[0])
-            except Exception as e:  # noqa: BLE001
-                results[p] = self._replica_answer(p, kwargs, e)
-        if pending:
-            fn = _remote_search_partition()
-            for fut in pending:
-                p = by_fut[fut]
-                racing = [fut] + [fn.remote(rep, p, **kwargs) for rep in self.replicas]
-                res, last = None, None
-                while racing and res is None:
-                    done, racing = ray.wait(racing, num_returns=1)
-                    try:
-                        res = ray.get(done[0])
-                    except Exception as e:  # noqa: BLE001
-                        last = e
-                if res is None:
-                    raise last
-                for f in racing:  # best-effort: stop the losers
-                    try:
-                        ray.cancel(f, force=False)
-                    except Exception:  # noqa: BLE001
-                        pass
-                results[p] = res
-        return [results[p] for p in parts]
-
-    def _fan_out(
-        self, kwargs: dict, parallel: bool | None, parts: list[int] | None = None
-    ) -> list[dict]:
-        parts = self.parts if parts is None else parts
-        try:
-            import ray
-
-            use_ray = ray.is_initialized() if parallel is None else parallel
-        except ImportError:
-            use_ray = False
-        if use_ray and self.use_actors and len(self.parts) > 1:
-            import ray
-
-            self._ensure_actors()
-            if len(parts) == len(self.parts):
-                futs = [a.search_many.remote(kwargs) for a in self._actors]
-                futs_parts = list(self._actor_parts)
-            else:
-                # subset fan-out (zone-pruned / early-exit wave): each
-                # owning actor answers only its slice of the subset
-                by_actor: dict[int, list[int]] = {}
-                for p in parts:
-                    by_actor.setdefault(self._actor_of[p], []).append(p)
-                futs = [
-                    self._actors[i].search_parts.remote(ps, kwargs)
-                    for i, ps in by_actor.items()
+                res = ray.get(done[0])
+            except Exception as e:  # noqa: BLE001 — failed actor slice
+                if not self.replicas:
+                    raise
+                res = [
+                    out[p] if p in out else self._replica_answer(fn, p, kwargs, e)
+                    for p in ps
                 ]
-                futs_parts = list(by_actor.values())
-            by_part: dict[int, dict] = {}
-            for fut, fparts in zip(futs, futs_parts):
-                try:
-                    res = ray.get(fut)
-                except Exception as e:  # noqa: BLE001 — failed actor slice
-                    if not self.replicas:
-                        raise
-                    res = [self._replica_answer(p, kwargs, e) for p in fparts]
-                for r in res:
-                    by_part[r["part"]] = r
-            return [by_part[p] for p in parts]
-        if use_ray and len(parts) > 1:
-            import ray
-
-            fn = _remote_search_partition()
-            futs = [fn.remote(self.index_dir, p, **kwargs) for p in parts]
-            if not self.replicas:
-                return ray.get(futs)
-            return self._gather_raced(parts, futs, kwargs)
-        return [self._ask_serial(p, kwargs) for p in parts]
+            for p, r in zip(ps, res):
+                out.setdefault(p, r)
+        return [out[p] for p in parts]
 
 
-_REMOTE = None
-
-
-def _remote_search_partition():
-    global _REMOTE
-    if _REMOTE is None:
+def _ray_in_use(parallel: bool | None) -> bool:
+    """Ray fan-out requested: ``parallel``, or Ray initialized when None."""
+    try:
         import ray
-
-        _REMOTE = ray.remote(num_cpus=1)(search_partition)
-    return _REMOTE
+    except ImportError:
+        return False
+    return ray.is_initialized() if parallel is None else parallel

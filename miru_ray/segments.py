@@ -428,11 +428,6 @@ def add_to_inbox(index_dir: str, stream_id: str, keys: list[tuple[str, int]]) ->
     return _mutate_stream_set(index_dir, "inbox", stream_id, keys, add=True)
 
 
-def mark_unread(index_dir: str, stream_id: str, keys: list[tuple[str, int]]) -> dict[int, int]:
-    """UNREAD activity analogue."""
-    return _mutate_stream_set(index_dir, "unread", stream_id, keys, add=True)
-
-
 def mark_read(index_dir: str, stream_id: str, keys: list[tuple[str, int]]) -> dict[int, int]:
     """READ activity analogue."""
     return _mutate_stream_set(index_dir, "unread", stream_id, keys, add=False)

@@ -347,18 +347,91 @@ def test_foreign_codec_refuses_to_open(index_dir, tmp_path):
 
 
 def test_actor_engine_equals_tasks(index_dir):
-    """Partition-pinned actor pool returns identical answers (and caches
-    across repeated queries)."""
-    plain = SearchEngine(index_dir)
-    actor = SearchEngine(index_dir, use_actors=True, n_actors=2)
-    for q in ("t1 t7", "t1 OR w00042", "NOT t2", "w004*"):
-        a, fa = plain.search(q, k=15)
-        for _ in range(2):  # second round exercises the warm cache
-            b, fb = actor.search(q, k=15)
-            assert fa == fb
-            assert [(h.part, h.doc_id, h.score) for h in a] == [
-                (h.part, h.doc_id, h.score) for h in b
-            ]
+    """The partition-pinned actor pool returns the in-process answers (and
+    caches across repeated queries)."""
+    eng = SearchEngine(index_dir)
+    try:
+        for q in ("t1 t7", "t1 OR w00042", "NOT t2", "w004*"):
+            a, fa = eng.search(q, k=15, parallel=False)
+            for _ in range(2):  # second round exercises the warm cache
+                b, fb = eng.search(q, k=15, parallel=True)
+                assert fa == fb
+                assert [(h.part, h.doc_id, h.score) for h in a] == [
+                    (h.part, h.doc_id, h.score) for h in b
+                ]
+        assert eng._actors
+    finally:
+        eng.close()
+
+
+def test_pool_survives_actor_kill(index_dir):
+    """A pool actor that crashes is restarted by Ray and its call retried:
+    the next search equals the fault-free answer."""
+    import time
+
+    import ray
+
+    def pid(index_dir, part):
+        return os.getpid()
+
+    eng = SearchEngine(index_dir)
+    try:
+        want = eng.search("t1 t7", k=15, scoring="bm25", parallel=True)
+        victim = eng._actors[0]
+        old = ray.get(victim.run.remote(pid, [0], {}))[0]
+        ray.kill(victim, no_restart=False)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:  # ray.kill returns before the process dies
+            try:
+                os.kill(old, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        got = eng.search("t1 t7", k=15, scoring="bm25", parallel=True)
+        assert got[1] == want[1]
+        assert [(h.part, h.doc_id, h.score) for h in got[0]] == [
+            (h.part, h.doc_id, h.score) for h in want[0]
+        ]
+        assert ray.get(victim.run.remote(pid, [0], {}))[0] != old  # a restarted actor
+    finally:
+        eng.close()
+
+
+def test_open_pool_holds_no_cpu(index_dir, tiny_transcripts_dir, tmp_path_factory):
+    """Pool actors reserve no logical CPU: with an engine's pool up and left
+    open, every cluster CPU stays available, and a build and an extend
+    (Ray Data jobs that need CPUs) still complete."""
+    import gc
+    import time
+
+    import ray
+
+    from miru_ray.build import extend_index
+
+    eng = SearchEngine(index_dir)
+    eng.search("t1 t7", k=5, parallel=True)
+    assert eng._actors
+    total = ray.cluster_resources()["CPU"]
+    gc.collect()  # a finished Ray Data job holds its CPU until collected
+    deadline = time.monotonic() + 10
+    while ray.available_resources().get("CPU", 0) != total and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert ray.available_resources().get("CPU", 0) == total
+
+    t = pa.concat_tables(
+        [pq.read_table(f) for f in sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))]
+    )
+    convs = sorted(set(t["conv_id"].to_pylist()))
+    cut = convs[len(convs) // 2]
+    first = str(tmp_path_factory.mktemp("pool_src1"))
+    second = str(tmp_path_factory.mktemp("pool_src2"))
+    pq.write_table(t.filter(pa.compute.less(t["conv_id"], cut)), os.path.join(first, "a.parquet"))
+    pq.write_table(t.filter(pa.compute.greater_equal(t["conv_id"], cut)),
+                   os.path.join(second, "b.parquet"))
+    d = str(tmp_path_factory.mktemp("idx_pool_open"))
+    build_index(first, d, n_parts=N_PARTS)
+    assert extend_index(second, d)["epochs"][-1]["parts_updated"]
+    assert eng.search("t1 t7", k=5, parallel=True)[1] > 0  # the pool still answers
 
 
 @pytest.mark.parametrize(

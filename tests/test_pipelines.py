@@ -1,5 +1,4 @@
-"""Tests for the training-data pipelines (dedup, ANN, text stats,
-multimodal plumbing) against scalar pure-python oracles and numpy brute
+"""Tests for the training-data pipelines (dedup, ANN, text stats) against scalar pure-python oracles and numpy brute
 force. The sf0.001 testdata tables are the corpus."""
 
 import numpy as np
@@ -346,9 +345,6 @@ def test_ann_lsh_recall(ray_session, emb):
     assert hits / total >= 0.5, hits / total
 
 
-# -------------------------------------------------------------- multimodal
-
-
 def test_ann_ivf_equals_gated_brute(ray_session, emb):
     """ann_ivf_topk must equal the numpy mirror of its own gating: assign
     each vector to its nearest strided centroid (rounded-8dp cosine, tie →
@@ -536,139 +532,7 @@ def test_semdedup_vs_brute(ray_session, emb):
         assert bool(r["keep"]) == (v not in dropped), v
 
 
-def test_multimodal_plumbing(ray_session):
-    from miru_ray.multimodal import DecodeStage, FEATURE_DIM, feature_extract_ds, synth_media_table
-
-    media = synth_media_table(100)
-    out = feature_extract_ds(media, concurrency=2, batch_size=16, backend="fake").to_pandas()
-    assert len(out) == 100
-    assert set(out.columns) == {"media_id", "media_type", "n_bytes", "features"}
-    assert all(len(f) == FEATURE_DIM for f in out["features"])
-    # deterministic across a second run
-    out2 = feature_extract_ds(media, concurrency=2, batch_size=7, backend="fake").to_pandas()
-    a = np.stack(out.sort_values("media_id")["features"].to_numpy())
-    b = np.stack(out2.sort_values("media_id")["features"].to_numpy())
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(NotImplementedError):
-        DecodeStage(backend="real")
-
-
-def test_bmp_wav_codecs_roundtrip():
-    from miru_ray.multimodal import decode_bmp, decode_wav, encode_bmp, encode_wav
-
-    rng = np.random.default_rng(5)
-    pixels = rng.integers(0, 256, size=(13, 7, 3), dtype=np.uint8)  # odd width → row padding
-    np.testing.assert_array_equal(decode_bmp(encode_bmp(pixels)), pixels)
-    samples = (np.sin(np.arange(777) * 0.1) * 20000).astype(np.int16)
-    dec, sr = decode_wav(encode_wav(samples, 8000))
-    assert sr == 8000
-    np.testing.assert_array_equal(dec, samples)
-    with pytest.raises(ValueError):
-        decode_bmp(b"nonsense")
-    with pytest.raises(ValueError):
-        decode_wav(b"RIFFxxxxWAVE")
-
-
-def test_multimodal_real_decode(ray_session):
-    """The numpy backend REALLY decodes BMP/WAV payloads: features match a
-    direct decode of the same bytes, and audio spectral centroid tracks
-    the synth tone frequency."""
-    from miru_ray.multimodal import (
-        FEATURE_DIM,
-        audio_features,
-        decode_bmp,
-        decode_wav,
-        encode_wav,
-        feature_extract_ds,
-        image_features,
-        synth_real_media_table,
-    )
-
-    media = synth_real_media_table(40)
-    out = feature_extract_ds(media, concurrency=2, batch_size=8).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    assert len(out) == 40
-    for i in range(0, 6):
-        raw = media["payload"][i].as_py()
-        if i % 2 == 0:
-            exp = image_features(decode_bmp(raw), FEATURE_DIM)
-        else:
-            s, sr = decode_wav(raw)
-            exp = audio_features(s, sr, FEATURE_DIM)
-        np.testing.assert_allclose(np.asarray(out["features"][i]), exp, rtol=1e-6)
-    # physical sanity: centroid of a pure 1 kHz tone ≈ 1000/(sr/2)
-    sr = 8000
-    tone = (np.sin(2 * np.pi * 1000 * np.arange(4000) / sr) * 20000).astype(np.int16)
-    s, got_sr = decode_wav(encode_wav(tone, sr))
-    f = audio_features(s, got_sr, FEATURE_DIM)
-    assert abs(f[2] - 1000 / (sr / 2)) < 0.02
-
-
 # -------------------------------------------------- scalar batch unit tests
-
-
-def test_resize_bilinear_known_values():
-    from miru_ray.multimodal import resize_bilinear
-
-    # constant image stays constant at any scale
-    const = np.full((5, 7, 3), 113, np.uint8)
-    assert (resize_bilinear(const, 3, 11) == 113).all()
-    # 2x upscale of a 2x2 checker: corners keep source values (pixel-center
-    # sampling maps output corners inside the nearest source pixel)
-    src = np.zeros((2, 2, 3), np.uint8)
-    src[0, 1] = src[1, 0] = 255
-    up = resize_bilinear(src, 4, 4)
-    assert up[0, 0, 0] == 0 and up[0, 3, 0] == 255
-    assert up[3, 0, 0] == 255 and up[3, 3, 0] == 0
-    # identity resize is exact
-    rng = (np.arange(4 * 6 * 3, dtype=np.uint8).reshape(4, 6, 3) * 7) % 251
-    assert (resize_bilinear(rng, 4, 6) == rng).all()
-
-
-def test_frame_sample_and_resize_stages(ray_session):
-    """video container → FrameSampleStage (1 row per sampled frame) →
-    ResizeStage (fixed box) — the full multimodal composition over Ray."""
-    import ray.data as rd
-
-    from miru_ray.multimodal import (
-        FrameSampleStage, ResizeStage, decode_bmp, encode_video, resize_bilinear,
-    )
-
-    rng = np.random.default_rng(3)
-    vids = []
-    for n_frames in (5, 1, 4):
-        vids.append(encode_video([
-            rng.integers(0, 256, (6, 8, 3), dtype=np.uint8) for _ in range(n_frames)
-        ]))
-    media = pa.table(
-        {
-            "media_id": pa.array([10, 11, 12], pa.int64()),
-            "media_type": pa.array(["video/mrv1"] * 3, pa.string()),
-            "payload": pa.array(vids, pa.large_binary()),
-            "width": pa.array([8, 8, 8], pa.int32()),
-            "height": pa.array([6, 6, 6], pa.int32()),
-            "sample_rate": pa.array([-1] * 3, pa.int32()),
-        }
-    )
-    frames = rd.from_arrow(media).map_batches(
-        FrameSampleStage, fn_constructor_kwargs={"every_k": 2},
-        batch_format="pyarrow", concurrency=1,
-    )
-    resized = frames.map_batches(
-        ResizeStage, fn_constructor_kwargs={"out_h": 3, "out_w": 4},
-        batch_format="pyarrow", concurrency=1,
-    ).to_pandas().sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
-    # frames 0,2,4 / 0 / 0,2 sampled
-    assert list(zip(resized["media_id"], resized["frame_idx"])) == [
-        (10, 0), (10, 2), (10, 4), (11, 0), (12, 0), (12, 2)
-    ]
-    assert set(resized["width"]) == {4} and set(resized["height"]) == {3}
-    # byte-exact vs the scalar composition
-    first = decode_bmp(bytes(resized["payload"][0]))
-    from miru_ray.multimodal import _video_frames
-
-    expect = resize_bilinear(decode_bmp(_video_frames(vids[0])[0]), 3, 4)
-    assert (first == expect).all()
 
 
 def test_langid_tiebreak_and_und():
@@ -975,43 +839,6 @@ def test_split_ds_deterministic_and_proportional(ray_session):
     sub = set(s["doc_id"])
     pref = set(a[a["bucket"] < (1 << 20) // 5]["doc_id"])
     assert sub == pref
-
-
-def test_resample_stage(ray_session):
-    """WAV resample: scalar equality vs np.interp, and the stage passes
-    non-audio rows through untouched."""
-    import ray.data as rd
-
-    from miru_ray.multimodal import (
-        ResampleStage, decode_wav, encode_wav, resample_linear,
-    )
-
-    t = np.arange(1600, dtype=np.float64)
-    wave = (np.sin(2 * np.pi * 440 * t / 16000) * 20000).astype(np.int16)
-    media = pa.table(
-        {
-            "media_id": pa.array([0, 1], pa.int64()),
-            "media_type": pa.array(["audio/wav", "image/bmp"], pa.string()),
-            "payload": pa.array([encode_wav(wave, 16000), b"notaudio"], pa.large_binary()),
-            "width": pa.array([-1, 4], pa.int32()),
-            "height": pa.array([-1, 4], pa.int32()),
-            "sample_rate": pa.array([16000, -1], pa.int32()),
-        }
-    )
-    got = (
-        rd.from_arrow(media)
-        .map_batches(ResampleStage, fn_constructor_kwargs={"target_rate": 8000},
-                     batch_format="pyarrow", concurrency=1)
-        .to_pandas().sort_values("media_id").reset_index(drop=True)
-    )
-    assert int(got["sample_rate"][0]) == 8000
-    s, sr = decode_wav(bytes(got["payload"][0]))
-    assert sr == 8000 and len(s) == 800
-    assert (s == resample_linear(wave, 16000, 8000)).all()
-    # identity rate keeps samples byte-identical
-    assert (resample_linear(wave, 16000, 16000) == wave).all()
-    # non-audio untouched
-    assert bytes(got["payload"][1]) == b"notaudio" and int(got["sample_rate"][1]) == -1
 
 
 def test_charlm_vs_scalar(ray_session, doc_tokens):
@@ -1326,187 +1153,6 @@ def test_metric_waveform_vs_brute(ray_session):
                     nv = float(sums[nx] // ns[nx])
                     want = math.floor(pv + ((nv - pv) / (nx - px)) * (b - px))
                 assert row.metric == want, (et, b)
-
-
-def test_image_neardup_pairs_vs_brute(ray_session):
-    """aHash banded hamming pairs == exact brute force over all image
-    pairs (pigeonhole banding is recall-1.0), on a corpus of base images
-    plus controlled near-duplicates."""
-    import numpy as np
-    import pyarrow as pa
-
-    from miru_ray.multimodal import (
-        MEDIA_SCHEMA,
-        ahash64,
-        decode_bmp,
-        encode_bmp,
-        image_neardup_pairs_ds,
-    )
-
-    rng = np.random.default_rng(3)
-    payloads, ids = [], []
-    base_images = []
-    for i in range(12):
-        img = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        base_images.append(img)
-        payloads.append(encode_bmp(img))
-        ids.append(len(ids))
-    for img in base_images[:6]:  # near-dups: flip a few pixels slightly
-        noisy = img.copy()
-        noisy[:2, :2, :] = np.clip(noisy[:2, :2, :].astype(int) + 3, 0, 255).astype(np.uint8)
-        payloads.append(encode_bmp(noisy))
-        ids.append(len(ids))
-    n = len(ids)
-    media = pa.table(
-        {
-            "media_id": pa.array(np.asarray(ids, np.int64)),
-            "media_type": pa.array(["image/bmp"] * n, pa.string()),
-            "payload": pa.array(payloads, pa.large_binary()),
-            "width": pa.array(np.full(n, 16, np.int32)),
-            "height": pa.array(np.full(n, 16, np.int32)),
-            "sample_rate": pa.array(np.full(n, -1, np.int32)),
-        },
-        schema=MEDIA_SCHEMA,
-    )
-    max_h = 7
-    got = image_neardup_pairs_ds(media, max_hamming=max_h).to_pandas()
-    got_pairs = {(r.a, r.b): r.hamming for r in got.itertuples(index=False)}
-    hashes = [ahash64(decode_bmp(p)) for p in payloads]
-    want = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = bin(hashes[i] ^ hashes[j]).count("1")
-            if d <= max_h:
-                want[(i, j)] = d
-    assert got_pairs == want
-    assert any(d == 0 or d <= max_h for d in want.values()) and len(want) >= 6
-
-
-def test_audio_neardup_pairs_vs_brute(ray_session):
-    """Audio spectral-fingerprint banded pairs == exact popcount brute
-    force, on synth tones plus requantized near-duplicate copies."""
-    import numpy as np
-    import pyarrow as pa
-
-    from miru_ray.multimodal import (
-        MEDIA_SCHEMA,
-        audio_fingerprint64,
-        audio_neardup_pairs_ds,
-        decode_wav,
-        encode_wav,
-    )
-
-    rng = np.random.default_rng(5)
-    sr = 8000
-    payloads, ids = [], []
-    clips = []
-    for i in range(8):
-        # band-limited noise: broadband spectral shape (a pure tone's
-        # near-empty spectrum makes median thresholding degenerate)
-        spec = np.zeros(801, dtype=np.complex128)
-        lo = 40 + 80 * i
-        spec[lo : lo + 120] = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-        x = np.fft.irfft(spec, n=1600)
-        s = (x / np.abs(x).max() * 12000).astype(np.int16)
-        clips.append(s)
-        payloads.append(encode_wav(s, sr))
-        ids.append(len(ids))
-    for s in clips[:4]:  # near-dups: slight requantization
-        payloads.append(encode_wav((s.astype(np.float64) * 0.999).astype(np.int16), sr))
-        ids.append(len(ids))
-    n = len(ids)
-    media = pa.table(
-        {
-            "media_id": pa.array(np.asarray(ids, np.int64)),
-            "media_type": pa.array(["audio/wav"] * n, pa.string()),
-            "payload": pa.array(payloads, pa.large_binary()),
-            "width": pa.array(np.full(n, -1, np.int32)),
-            "height": pa.array(np.full(n, -1, np.int32)),
-            "sample_rate": pa.array(np.full(n, sr, np.int32)),
-        },
-        schema=MEDIA_SCHEMA,
-    )
-    max_h = 15  # 16 blocks x 4 bits; median-threshold bits flip more
-    # under requantization than image aHash bits do under pixel noise
-    got = audio_neardup_pairs_ds(media, max_hamming=max_h).to_pandas()
-    got_pairs = {(r.a, r.b): r.hamming for r in got.itertuples(index=False)}
-    fps = [audio_fingerprint64(*decode_wav(p)) for p in payloads]
-    want = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = bin(fps[i] ^ fps[j]).count("1")
-            if d <= max_h:
-                want[(i, j)] = d
-    assert got_pairs == want
-    # every requantized copy must pair with its original
-    for k in range(4):
-        assert (k, 8 + k) in want
-
-
-def test_video_neardup_pairs_vs_brute(ray_session):
-    """Frame-sampled majority-aHash video pairs == exact brute force, with
-    re-encoded copies (one frame altered) pairing with their originals."""
-    import numpy as np
-    import pyarrow as pa
-
-    from miru_ray.multimodal import (
-        MEDIA_SCHEMA,
-        _video_frames,
-        ahash64,
-        decode_bmp,
-        encode_bmp,
-        encode_video,
-        video_neardup_pairs_ds,
-        videohash64,
-    )
-
-    rng = np.random.default_rng(9)
-    payloads, ids = [], []
-    vids = []
-    for i in range(6):
-        frames = [
-            rng.integers(0, 256, size=(12, 12, 3), dtype=np.uint8) for _ in range(10)
-        ]
-        vids.append(frames)
-        payloads.append(encode_video(frames))
-        ids.append(len(ids))
-    for frames in vids[:3]:  # near-dups: one SAMPLED frame half-brightened
-        dup = [f.copy() for f in frames]
-        d2 = dup[2].astype(int)
-        d2[:, :6, :] += 30
-        dup[2] = np.clip(d2, 0, 255).astype(np.uint8)
-        payloads.append(encode_video(dup))
-        ids.append(len(ids))
-    n = len(ids)
-    media = pa.table(
-        {
-            "media_id": pa.array(np.asarray(ids, np.int64)),
-            "media_type": pa.array(["video/mrv1"] * n, pa.string()),
-            "payload": pa.array(payloads, pa.large_binary()),
-            "width": pa.array(np.full(n, 12, np.int32)),
-            "height": pa.array(np.full(n, 12, np.int32)),
-            "sample_rate": pa.array(np.full(n, -1, np.int32)),
-        },
-        schema=MEDIA_SCHEMA,
-    )
-    max_h = 15  # 1 edited frame of 5 sampled flips the bits it tie-broke
-    got = video_neardup_pairs_ds(media, max_hamming=max_h, every_k=2).to_pandas()
-    got_pairs = {(r.a, r.b): r.hamming for r in got.itertuples(index=False)}
-    fps = []
-    for p in payloads:
-        frames = _video_frames(p)
-        fps.append(videohash64([ahash64(decode_bmp(frames[i])) for i in range(0, len(frames), 2)]))
-    want = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = bin(fps[i] ^ fps[j]).count("1")
-            if d <= max_h:
-                want[(i, j)] = d
-    assert got_pairs == want
-    # a minority edited frame (1 of 5 sampled) moves only the bits where
-    # it was the tie-breaker — every copy must still pair with its original
-    for k in range(3):
-        assert want.get((k, 6 + k), 99) <= max_h
 
 
 def test_hopping_window_vs_brute(ray_session):

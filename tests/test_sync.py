@@ -150,7 +150,7 @@ def test_replica_failover_corrupt_partition(src_idx, tmp_path_factory):
     eng = SearchEngine(src_idx, replicas=[rep])
     hits, found = eng.search("t1 t7", k=10, scoring="bm25", parallel=False)
     assert (found, [(h.conv_id, h.turn_idx, round(h.score, 5)) for h in hits]) == want
-    # parallel (Ray task) fan-out takes the same failover path
+    # the actor pool takes the same failover path
     hits_p, found_p = eng.search("t1 t7", k=10, scoring="bm25", parallel=True)
     assert (found_p, [(h.conv_id, h.turn_idx, round(h.score, 5)) for h in hits_p]) == want
 
@@ -271,11 +271,10 @@ def test_manifest_negative_cache(src_idx, monkeypatch):
 
 
 def test_replica_racing_slow_primary(src_idx, tmp_path_factory, monkeypatch):
-    """VERDICT r5 #5: with a warmed latency window, a primary partition
-    ask that runs past the suggested timeout is RACED against the
-    replica, and the fast replica's answer wins — rank-identical to the
-    all-primary answer and far faster than waiting out the slow
-    primary."""
+    """VERDICT r5 #5: with a warmed latency window, a pool slice that
+    stalls past the suggested timeout is RACED: the driver answers its
+    partitions from the replica — rank-identical to the all-primary answer
+    and far faster than waiting out the slow primary."""
     import time
 
     import ray
@@ -288,31 +287,97 @@ def test_replica_racing_slow_primary(src_idx, tmp_path_factory, monkeypatch):
 
     primary = os.path.abspath(src_idx)
 
-    def slow_partition(index_dir, part, **kw):
-        import os as _os
-        import time as _time
+    class SlowPrimary(S.PartitionSearcher):
+        def run(self, fn, parts, kwargs):
+            import os as _os
+            import time as _time
 
-        from miru_ray.search import search_partition
+            if _os.path.abspath(self.index_dir) == primary and 0 in parts:
+                _time.sleep(2.0)  # the congested primary
+            return super().run(fn, parts, kwargs)
 
-        if _os.path.abspath(index_dir) == primary and part == 0:
-            _time.sleep(2.0)  # the congested primary
-        return search_partition(index_dir, part, **kw)
-
-    monkeypatch.setattr(S, "_REMOTE", ray.remote(num_cpus=1)(slow_partition))
+    monkeypatch.setattr(S, "PartitionSearcher", SlowPrimary)
 
     eng = SearchEngine(src_idx, replicas=[rep])
-    eng._lat.extend([0.005] * 32)  # warm window → suggested timeout 50 ms
-    assert eng._suggested_timeout() is not None
-    t0 = time.monotonic()
-    hits, found = eng.search("t1 t7", k=10, scoring="bm25", parallel=True)
-    dt = time.monotonic() - t0
-    assert (found, [(h.conv_id, h.turn_idx, round(h.score, 5)) for h in hits]) == want
-    assert dt < 1.8, dt  # the replica answered; we never waited out the sleep
+    try:
+        eng._ensure_actors()
+        ray.get([a.run.remote(S.search_partition, [], {}) for a in eng._actors])  # pool up
+        eng._lat.extend([0.005] * 32)  # warm window → suggested timeout 50 ms
+        assert eng._suggested_timeout() is not None
+        t0 = time.monotonic()
+        hits, found = eng.search("t1 t7", k=10, scoring="bm25", parallel=True)
+        dt = time.monotonic() - t0
+        assert (found, [(h.conv_id, h.turn_idx, round(h.score, 5)) for h in hits]) == want
+        assert dt < 1.0, dt  # the replica answered; we never waited out the sleep
+    finally:
+        eng.close()
 
     # cold engine (no latency samples) never races: suggestion is None
     cold = SearchEngine(src_idx, replicas=[rep])
     assert cold._suggested_timeout() is None
-    # race=False disables racing even with a warm window
-    norace = SearchEngine(src_idx, replicas=[rep], race=False)
-    norace._lat.extend([0.005] * 32)
-    assert norace._suggested_timeout() is None
+
+
+def test_latency_samples_exclude_failover(src_idx, tmp_path_factory, monkeypatch):
+    """The racing trigger samples only the primary attempt: a failing
+    primary followed by a slow replica leaves the replica's time out of
+    the latency window."""
+    import time
+
+    from miru_ray import search as S
+
+    rep = str(tmp_path_factory.mktemp("lat_rep"))
+    sync_index(src_idx, rep)
+    primary = os.path.abspath(src_idx)
+    orig = S.search_partition
+
+    def primary_down(index_dir, part, **kw):
+        if os.path.abspath(index_dir) == primary:
+            raise OSError("primary down")
+        time.sleep(0.2)  # the slow replica
+        return orig(index_dir, part, **kw)
+
+    monkeypatch.setattr(S, "search_partition", primary_down)
+    eng = SearchEngine(src_idx, replicas=[rep])
+    eng.search("t1 t7", k=10, scoring="bm25", parallel=False)
+    assert len(eng._lat) == N_PARTS
+    assert max(eng._lat) < 0.2
+
+
+def test_plugin_failover_corrupt_partition(src_idx, tmp_path_factory):
+    """Plugins run on the engine's fan-out, so they fail over too: with a
+    corrupt primary partition, distincts on a replica-configured engine
+    answers like the fault-free engine."""
+    from miru_ray import plugins
+    from miru_ray import search as S
+
+    rep = str(tmp_path_factory.mktemp("plugin_rep"))
+    sync_index(src_idx, rep)
+    want = plugins.distincts(SearchEngine(src_idx), "text", prefix="t", query="t1")
+    assert want
+
+    victim = os.path.join(part_dir(src_idx, 1), "postings.parquet")
+    with open(victim, "wb") as f:
+        f.write(b"not a parquet file")
+    S._POSTING_CACHE.clear()
+
+    with pytest.raises(Exception):
+        plugins.distincts(SearchEngine(src_idx), "text", prefix="t", query="t1")
+    eng = SearchEngine(src_idx, replicas=[rep])
+    try:
+        assert plugins.distincts(eng, "text", prefix="t", query="t1") == want
+        assert eng._actors  # answered on the pool
+    finally:
+        eng.close()
+
+
+def test_cli_keeps_callers_ray_session(src_idx, tmp_path_factory):
+    """``main`` shuts down only a Ray session it started: an in-process
+    caller's session stays up."""
+    import ray
+
+    from miru_ray.__main__ import main
+
+    dst = str(tmp_path_factory.mktemp("cli_dst"))
+    assert ray.is_initialized()
+    assert main(["sync", "--src", src_idx, "--dst", dst]) == 0
+    assert ray.is_initialized()

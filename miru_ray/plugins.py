@@ -31,12 +31,12 @@ and is O(field vocabulary), so use prefixes to bound it at scale.
 from __future__ import annotations
 
 import numpy as np
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from .filters import DEFAULT_MAX_WILDCARD_EXPANSION
 from .search import PostingSource, _collect_term_specs, eval_filter_np
-from .segments import FIELD_SEP, META_FIELDS, forward_columns, part_dir
+from .segments import (
+    FIELD_SEP, META_FIELDS, forward_columns, read_term_dfs, term_dictionary,
+)
 from .search import _cached_manifest
 
 
@@ -89,24 +89,18 @@ def _answer(index_dir: str, part: int, query: str | None, use_stopwords: bool,
 
 
 def _postings_meta(index_dir: str, part: int, field: str, prefix: str = ""):
-    """(terms, first_doc, last_doc) of a field's postings (metadata columns
-    only — parquet row-group pruned by the sorted term key)."""
+    """(terms, first_doc, last_doc, df) of a field's postings: a slice of
+    the resident term dictionary, metadata columns only."""
     lo = field + FIELD_SEP + prefix
-    hi = field + FIELD_SEP + prefix + "\U0010ffff"
-    dset = pads.dataset(
-        part_dir(index_dir, part) + "/postings.parquet", format="parquet"
-    )
-    t = dset.to_table(
-        filter=(pc.field("term") >= lo) & (pc.field("term") <= hi),
-        columns=["term", "first_doc", "last_doc", "df"],
-    )
+    td = term_dictionary(index_dir, part)
+    i, j = td.span(lo, lo + "\U0010ffff")
+    t = td.read(np.arange(i, j, dtype=np.int64), ["term", "first_doc", "last_doc", "df"])
     sep = len(field) + 1
-    terms = [k[sep:] for k in t["term"].to_pylist()]
     return (
-        terms,
-        t["first_doc"].to_numpy(zero_copy_only=False),
-        t["last_doc"].to_numpy(zero_copy_only=False),
-        t["df"].to_numpy(zero_copy_only=False),
+        [k[sep:] for k in td.terms[i:j].tolist()],
+        t["first_doc"].to_numpy(),
+        t["last_doc"].to_numpy(),
+        t["df"].to_numpy(),
     )
 
 
@@ -145,7 +139,7 @@ def distincts_partition(
     # candidate rejection: term survives iff posting ∩ answer ≠ ∅. ONE
     # vectorized searchsorted over the [first_doc, last_doc] metadata
     # arrays rejects terms whose posting range can't touch the answer,
-    # then ONE batched pushdown read for the surviving candidates.
+    # then ONE batched dictionary read for the surviving candidates.
     cand = [terms[i] for i in _range_overlap_idx(answer, first, last)]
     if not cand:
         return []
@@ -541,7 +535,7 @@ def strut_partition(
     is an index PLUGIN, not a corpus scan: it gathers candidates' features
     from the index and scores against the cached model — Strut.java:37-56,
     StrutModelCache.java:104-140). Feature presence comes straight from the
-    model terms' POSTINGS (one pushdown read, removal/tombstones already
+    model terms' POSTINGS (one dictionary read, removal/tombstones already
     honored by _answer); scores follow strut.StrutScorer's strategy
     semantics exactly. Returns (conv_id, turn_idx, score) for every doc
     with ≥1 model feature."""
@@ -601,16 +595,9 @@ def term_dfs_partition(
 ) -> dict[str, int]:
     """term → df for the given terms of one partition (metadata columns
     only — never touches posting bytes)."""
-    keys = [field + FIELD_SEP + t for t in terms]
-    dset = pads.dataset(
-        part_dir(index_dir, part) + "/postings.parquet", format="parquet"
-    )
-    t = dset.to_table(filter=pc.field("term").isin(keys), columns=["term", "df"])
     sep = len(field) + 1
-    return {
-        k[sep:]: int(d)
-        for k, d in zip(t["term"].to_pylist(), t["df"].to_numpy(zero_copy_only=False))
-    }
+    dfs = read_term_dfs(index_dir, part, [field + FIELD_SEP + t for t in terms])
+    return {k[sep:]: d for k, d in dfs.items()}
 
 
 def mlt_select_terms(
@@ -618,7 +605,7 @@ def mlt_select_terms(
 ) -> list[str]:
     """Lucene MoreLikeThis term selection (like(text) mode): tokenize the
     source text with the index's own tokenizer, gather GLOBAL df for its
-    distinct terms (one metadata-only pushdown read per partition, summed),
+    distinct terms (one metadata-only dictionary read per partition, summed),
     keep df ≥ min_df, rank by tf·ln(N/df) (ties → term asc), take the top
     ``n_terms``. The candidate set is one document's vocabulary — the df
     gather is O(doc terms), never O(corpus vocabulary)."""

@@ -204,7 +204,7 @@ def reco_cf_partition(
     # vectorized searchsorted over the posting [first_doc, last_doc]
     # metadata columns (a term whose doc range can't touch `mine` is
     # rejected without reading its posting); survivors get one batched
-    # pushdown read.
+    # dictionary read.
     from .plugins import _postings_meta, _range_overlap_idx
 
     terms, first, last, _df = _postings_meta(index_dir, part, "text", item_prefix)

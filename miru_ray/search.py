@@ -5,9 +5,10 @@ FullTextCustomQuestion.askLocal → MiruAggregateUtil.filter →
 FullText.collectTfIdf → FullTextAnswerMerger.merge) over our segment
 layout: the query plan (parsed filter AST + scoring config) is sent to the
 partition-pinned actor pool when Ray is in use, and asked of each partition
-serially in process otherwise; each partition does posting reads with
-parquet term-pushdown, sorted-array set algebra, fp32 scoring and a local
-top-k; the driver does the exact two-pointer ordered merge.
+serially in process otherwise; each partition looks its terms up in the
+resident term dictionary and reads only the row groups that hold them,
+then does sorted-array set algebra, fp32 scoring and a local top-k; the
+driver does the exact two-pointer ordered merge.
 
 Rank-identity contract (tested against the pure-python oracle):
 * signed term collector (±1 per collected term occurrence, sign flips for
@@ -53,6 +54,7 @@ from .filters import DEFAULT_MAX_WILDCARD_EXPANSION, Filter, parse_query
 from .segments import (
     FIELD_SEP,
     forward_columns,
+    manifest_epoch,
     read_global_manifest,
     read_manifest,
     read_postings_for_terms,
@@ -102,25 +104,26 @@ def _has_phrase(filt: Filter) -> bool:
 
 
 # per-process decoded-posting cache: (index_dir, part, epoch, "field\x1fterm")
-# → (docs, tfs, ttf, df) | None-for-absent. The analogue of the reference's
-# per-partition bitmap caches held by reader nodes (LAB leap cache /
-# StrutModelCache.java pattern). Partition-pinned query actors keep it warm
-# across queries and make hits deterministic. The
-# epoch component is the partition manifest's mtime: extend_index / repair
-# rewrite postings.parquet + manifest, so warm workers must not serve the
+# → (docs, tfs, ttf, df, blocks) | None-for-absent. The analogue of the
+# reference's per-partition bitmap caches held by reader nodes (LAB leap
+# cache / StrutModelCache.java pattern). Partition-pinned query actors keep
+# it warm across queries and make hits deterministic. A miss is looked up in
+# the partition's resident term dictionary (segments.term_dictionary) and
+# read from the row groups that hold it. The epoch component is the
+# partition manifest's mtime: extend_index / repair rewrite
+# postings.parquet + manifest, so warm workers must not serve the
 # pre-extend postings or n_docs (mirrors _FORWARD_CACHE/_TOMBSTONE_CACHE).
 _POSTING_CACHE: dict[tuple, tuple | None] = {}
 _POSTING_CACHE_CAP = 200_000
 _MANIFEST_CACHE: dict[tuple, dict] = {}
 
-# per-process wildcard/range expansion cache: (index_dir, part, epoch,
-# field, spec) → sorted matching terms. A prefix/range query re-scans the
-# term dictionary (one pushdown parquet read per partition) on EVERY
-# evaluation even when every expanded posting is already in
-# _POSTING_CACHE — the reference keeps its term dictionary resident in the
-# LAB leap cache, so repeated wildcard queries never re-walk storage
-# (LabInvertedIndex leap cache; TermIdStream re-use). Epoch-keyed like the
-# posting cache so extend/repair invalidate it.
+# per-process fuzzy/regexp expansion cache: (index_dir, part, epoch, field,
+# spec) → sorted matching terms. Prefix and range specs are not cached:
+# they are a searchsorted slice of the resident term dictionary (about
+# 30 us for a 100-term prefix). Fuzzy and regexp results are derived from
+# the whole field dictionary (an edit-distance sweep or a regex pass), so
+# those are kept.
+# Epoch-keyed like the posting cache so extend/repair invalidate it.
 _EXPANSION_CACHE: dict[tuple, list] = {}
 _EXPANSION_CACHE_CAP = 50_000
 
@@ -162,17 +165,6 @@ def _fuzzy_filter(terms: list[str], q: str, k: int) -> list[str]:
         prev = cur
     dist = prev[np.arange(cand.size), clens]
     return [terms[i] for i in cand[dist <= k]]
-
-
-def _manifest_epoch(index_dir: str, part: int) -> float:
-    import os
-
-    from .segments import manifest_path
-
-    try:
-        return os.path.getmtime(manifest_path(index_dir, part))
-    except OSError:
-        return -1.0
 
 
 # analyzer name per index, keyed by the GLOBAL manifest's mtime epoch (like
@@ -246,7 +238,7 @@ def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
 def _cached_manifest(index_dir: str, part: int) -> dict:
     from .segments import read_manifest
 
-    key = (index_dir, part, _manifest_epoch(index_dir, part))
+    key = (index_dir, part, manifest_epoch(index_dir, part))
     # sentinel-based lookup so a cached None (missing / unreadable
     # manifest — a vanished primary partition in replica mode) is a HIT:
     # .get(key) alone would re-read the missing file on every query
@@ -269,16 +261,25 @@ LAZY_TF_BLOCKS = 64
 DECODE_STATS = {"tf_bytes_total": 0, "tf_bytes_decoded": 0}
 
 
+def _list_rows(col) -> list[np.ndarray]:
+    """A list<int> column as one int64 array per row (views of one buffer)."""
+    import pyarrow.compute as pc
+
+    lens = pc.list_value_length(col).to_numpy(zero_copy_only=False)
+    vals = pc.list_flatten(col).to_numpy(zero_copy_only=False).astype(np.int64)
+    return np.split(vals, np.cumsum(lens)[:-1])
+
+
 class PostingSource:
-    """Per-partition posting reader: one pushdown parquet read for the terms
-    a query needs that are not already in the process cache, decoded into
-    sorted docId arrays. Large postings defer tf decoding (lazy-tf)."""
+    """Per-partition posting reader: one resident-dictionary read for the
+    terms a query needs that are not already in the process cache, decoded
+    into sorted docId arrays. Large postings defer tf decoding (lazy-tf)."""
 
     def __init__(self, index_dir: str, part: int, specs: list[tuple[str, str]],
                  max_wild: int):
         from .filters import fuzzy_value, range_term_bounds, regexp_value
 
-        epoch = _manifest_epoch(index_dir, part)
+        epoch = manifest_epoch(index_dir, part)
 
         def _expand(field: str, v: str) -> list[str]:
             hit = expand_spec(index_dir, part, epoch, field, v)
@@ -325,36 +326,37 @@ class PostingSource:
             while _POSTING_CACHE and len(_POSTING_CACHE) + len(misses) > _POSTING_CACHE_CAP:
                 _POSTING_CACHE.pop(next(iter(_POSTING_CACHE)))
             t = read_postings_for_terms(index_dir, part, misses)
+            terms = t["term"].to_pylist()
+            doc_bytes = t["doc_bytes"].to_pylist()
+            tf_bytes = t["tf_bytes"].to_pylist()
+            n_blocks = t["n_blocks"].to_numpy()
+            ttfs = t["ttf"].to_pylist()
+            dfs = t["df"].to_pylist()
+            firsts, counts, max_tfs, min_dls, tf_ends = (
+                _list_rows(t[c]) for c in
+                ("blk_first", "blk_count", "blk_max_tf", "blk_min_dl", "blk_tf_end"))
             found = set()
-            for i in range(t.num_rows):
-                key_str = t["term"][i].as_py()
+            for i, key_str in enumerate(terms):
                 field, term = key_str.split(FIELD_SEP, 1)
-                blk_first = np.asarray(t["blk_first"][i].as_py())
-                blk_count = np.asarray(t["blk_count"][i].as_py())
-                n_blocks = int(t["n_blocks"][i].as_py())
-                tf_raw = t["tf_bytes"][i].as_py()
+                blk_first, blk_count, tf_raw = firsts[i], counts[i], tf_bytes[i]
                 DECODE_STATS["tf_bytes_total"] += len(tf_raw)
-                lazy = n_blocks >= LAZY_TF_BLOCKS
+                lazy = n_blocks[i] >= LAZY_TF_BLOCKS
                 docs, tfs = decode_posting(
-                    t["doc_bytes"][i].as_py(),
-                    None if lazy else tf_raw,
-                    blk_first,
-                    blk_count,
+                    doc_bytes[i], None if lazy else tf_raw, blk_first, blk_count
                 )
                 if not lazy:
                     DECODE_STATS["tf_bytes_decoded"] += len(tf_raw)
-                ttf = int(t["ttf"][i].as_py())
-                df = int(t["df"][i].as_py())
+                ttf, df = ttfs[i], dfs[i]
                 blocks = {
                     "first": blk_first,
                     "count": blk_count,
-                    "max_tf": np.asarray(t["blk_max_tf"][i].as_py()),
-                    "min_dl": np.asarray(t["blk_min_dl"][i].as_py()),
+                    "max_tf": max_tfs[i],
+                    "min_dl": min_dls[i],
                 }
                 if lazy:
                     blocks["tf_bytes"] = tf_raw
-                    blocks["tf_end"] = np.asarray(t["blk_tf_end"][i].as_py(), dtype=np.int64)
-                    blocks["count_cum"] = np.cumsum(blk_count.astype(np.int64))
+                    blocks["tf_end"] = tf_ends[i]
+                    blocks["count_cum"] = np.cumsum(blk_count)
                 self.post[(field, term)] = (docs, tfs)
                 self.ttf[(field, term)] = ttf
                 self.df[(field, term)] = df
@@ -629,7 +631,7 @@ def authz_mask(index_dir: str, part: int, authz: tuple[str, tuple[str, ...]],
     least one allowed label — the reference's composite authz bitmap,
     MiruAuthzIndex.java / MiruAuthzCache.java), cached per process."""
     field, values = authz
-    key = (index_dir, part, _manifest_epoch(index_dir, part), field, tuple(sorted(values)))
+    key = (index_dir, part, manifest_epoch(index_dir, part), field, tuple(sorted(values)))
     hit = _AUTHZ_CACHE.get(key)
     if hit is None:
         src = PostingSource(index_dir, part, [(field, v) for v in values], 0)
@@ -645,41 +647,38 @@ def authz_mask(index_dir: str, part: int, authz: tuple[str, tuple[str, ...]],
 def expand_spec(index_dir: str, part: int, epoch: float, field: str,
                 v: str) -> list[str]:
     """UNTRIMMED sorted term expansion of spec ``v`` (prefix ``x*``, range
-    ``[lo TO hi]``, fuzzy ``x~N``, regexp ``/re/``), cached per
-    (partition, epoch) in _EXPANSION_CACHE. A fuzzy/regexp spec derives
-    from the cached field dictionary (≡ the "*" spec), so repeated
-    dictionary-walking queries share one storage scan per epoch."""
+    ``[lo TO hi]``, fuzzy ``x~N``, regexp ``/re/``). Prefix and range specs
+    are a slice of the resident term dictionary; a fuzzy/regexp spec derives
+    from the field's whole dictionary (≡ the "*" spec) and is cached per
+    (partition, epoch) in _EXPANSION_CACHE."""
     from .filters import fuzzy_value, range_term_bounds, regexp_value
 
+    rx = regexp_value(v)
+    fz = fuzzy_value(v) if rx is None else None
+    if rx is None and fz is None:
+        bounds = range_term_bounds(v)
+        if bounds is not None:
+            lo, hi, lo_inc, hi_inc = bounds
+            return read_term_between(index_dir, part, field, lo, hi, lo_inc, hi_inc)
+        return read_term_range(index_dir, part, field, v[:-1])
     ck = (index_dir, part, epoch, field, v)
     hit = _EXPANSION_CACHE.get(ck)
     if hit is None:
-        rx = regexp_value(v)
-        fz = fuzzy_value(v) if rx is None else None
-        bounds = range_term_bounds(v) if rx is None and fz is None else None
-        if rx is not None:
-            # regexp expansion: the field dictionary + one anchored RE2
-            # pass (pyarrow match_substring_regex — vectorized)
+        cands = read_term_range(index_dir, part, field, "")
+        if fz is not None:
+            hit = _fuzzy_filter(cands, fz[0], fz[1])
+        elif cands:
+            # regexp expansion: one anchored RE2 pass over the field
+            # dictionary (pyarrow match_substring_regex — vectorized)
             import pyarrow as pa
             import pyarrow.compute as pc
 
-            cands = expand_spec(index_dir, part, epoch, field, "*")
-            if cands:
-                m = pc.match_substring_regex(
-                    pa.array(cands, type=pa.string()), f"^(?:{rx})$"
-                ).to_numpy(zero_copy_only=False)
-                hit = [t for t, ok in zip(cands, m) if ok]
-            else:
-                hit = []
-        elif fz is not None:
-            hit = _fuzzy_filter(
-                expand_spec(index_dir, part, epoch, field, "*"), fz[0], fz[1]
-            )
-        elif bounds is not None:
-            lo, hi, lo_inc, hi_inc = bounds
-            hit = read_term_between(index_dir, part, field, lo, hi, lo_inc, hi_inc)
+            m = pc.match_substring_regex(
+                pa.array(cands, type=pa.string()), f"^(?:{rx})$"
+            ).to_numpy(zero_copy_only=False)
+            hit = [t for t, ok in zip(cands, m) if ok]
         else:
-            hit = read_term_range(index_dir, part, field, v[:-1])
+            hit = []
         if len(_EXPANSION_CACHE) > _EXPANSION_CACHE_CAP:
             _EXPANSION_CACHE.clear()
         _EXPANSION_CACHE[ck] = hit
@@ -1701,10 +1700,10 @@ class SearchEngine:
         expansion cache + vectorized DP); df sums across partitions, so
         the rank reflects the whole corpus. The exact term itself (distance
         0) is included when indexed — callers drop it for pure correction.
-        Interactive API: partitions are read serially; the df read is a
-        metadata-only pushdown (term + df columns — posting BYTES are
-        never touched: a 2M-doc candidate posting costs the same as a
-        2-doc one)."""
+        Interactive API: partitions are read serially; the df read takes
+        only the term + df columns from the resident dictionary's row
+        groups (posting BYTES are never touched: a 2M-doc candidate
+        posting costs the same as a 2-doc one)."""
         from .analyzers import get_analyzer
         from .filters import levenshtein
 
@@ -1730,8 +1729,8 @@ class SearchEngine:
         """Autocomplete (Lucene TermsComponent / prefix TermsEnum
         analogue): dictionary terms starting with ``prefix``, ranked by
         (global df desc, term asc). Same interactive-path discipline as
-        ``suggest``: the per-(partition, epoch) expansion cache feeds a
-        metadata-only df pushdown — posting bytes are never read."""
+        ``suggest``: a slice of each partition's resident dictionary
+        feeds a term + df column read — posting bytes are never read."""
         from .tokenize import py_tokenize
 
         toks = py_tokenize(prefix)
@@ -1742,12 +1741,12 @@ class SearchEngine:
 
     def _global_dfs(self, field: str, spec: str) -> dict[str, int]:
         """Corpus-level df per dictionary term matching ``spec``: the
-        epoch-cached expansion + the term+df-only pushdown read, df summed
-        across partitions (shared by suggest / suggest_prefix)."""
+        expansion + the term+df-only dictionary read, df summed across
+        partitions (shared by suggest / suggest_prefix)."""
         from .segments import read_term_dfs
 
         def one(d: str, part: int) -> dict:
-            epoch = _manifest_epoch(d, part)
+            epoch = manifest_epoch(d, part)
             terms = expand_spec(d, part, epoch, field, spec)
             return read_term_dfs(d, part, [field + FIELD_SEP + t for t in terms])
 

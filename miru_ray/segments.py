@@ -13,8 +13,10 @@ because segments are immutable (SURVEY.md §1.3):
       part=00042/
         postings.parquet           # one row per term_key: RUNS_SCHEMA (delta+varbyte
                                    #   blocks + block-max metadata + df/ttf/max_tf),
-                                   #   sorted by term_key, small row groups so parquet
-                                   #   min/max stats give term-level pushdown
+                                   #   sorted by term_key in row groups of 1024; readers
+                                   #   look terms up in the resident term dictionary
+                                   #   (TermDictionary) and read only the groups that
+                                   #   hold them
         forward.parquet            # doc_id, conv_id, turn_idx, role, tool, ts(us), dl
                                    #   (the activity/forward index + time index +
                                    #   doc-length table, MiruActivityIndex.java:16-135)
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -180,8 +184,8 @@ def finalize_segment(
     d = part_dir(index_dir, part)
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, "postings.parquet.tmp")
-    # small row groups → parquet min/max term stats prune reads to the
-    # handful of row groups containing the queried terms
+    # small row groups: a TermDictionary lookup reads only the handful of
+    # row groups that hold the queried terms
     pq.write_table(postings, tmp, row_group_size=1024)
     os.replace(tmp, os.path.join(d, "postings.parquet"))
     if forward is not None:
@@ -233,33 +237,135 @@ def read_global_manifest(index_dir: str) -> dict:
 
 
 # ------------------------------------------------------------- segment reads
+#
+# Every term-keyed read of a partition goes through its resident term
+# dictionary: one open ``pq.ParquetFile`` for ``postings.parquet``, the
+# sorted ``term`` column as a numpy array and the cumulative row counts of
+# the row groups. A lookup is a ``searchsorted``; a read decodes only the
+# row groups that hold the rows it needs, from that same handle, so a
+# ``postings.parquet`` replaced by extend, repair or compact can never pair
+# one file's dictionary with another file's rows. The reference keeps its
+# term dictionary resident the same way (LAB leap cache).
+
+
+class TermDictionary:
+    """One partition's resident term dictionary (see the section comment).
+
+    ``terms`` is sorted by code point, which is the UTF-8 byte order the
+    build sorts ``postings.parquet`` by, so ``np.searchsorted`` over it
+    agrees with the file. Reads on the shared handle take ``_lock``:
+    ``FederatedEngine`` asks partitions from threads."""
+
+    def __init__(self, path: str, epoch: float):
+        self.path = path
+        self.epoch = epoch
+        self._pf = pq.ParquetFile(path)
+        md = self._pf.metadata
+        sizes = np.array([md.row_group(i).num_rows for i in range(md.num_row_groups)],
+                         dtype=np.int64)
+        self.rg_end = np.cumsum(sizes)
+        self.rg_start = self.rg_end - sizes
+        self.terms = (
+            self._pf.read(columns=["term"], use_threads=False)
+            .column("term").to_numpy(zero_copy_only=False)
+        )
+        self._lock = threading.Lock()
+
+    def find(self, keys) -> np.ndarray:
+        """Sorted row indices of the ``keys`` present (duplicates once)."""
+        k = np.array(sorted(set(keys)), dtype=object)
+        n = len(self.terms)
+        if not len(k) or not n:
+            return np.empty(0, dtype=np.int64)
+        pos = np.searchsorted(self.terms, k)
+        hit = pos < n
+        hit[hit] = self.terms[pos[hit]] == k[hit]
+        return pos[hit].astype(np.int64)
+
+    def span(self, lo: str, hi: str, lo_inc: bool = True, hi_inc: bool = True) -> tuple[int, int]:
+        """Row range ``[i, j)`` of the terms between ``lo`` and ``hi``."""
+        i = np.searchsorted(self.terms, np.array([lo], dtype=object),
+                            side="left" if lo_inc else "right")[0]
+        j = np.searchsorted(self.terms, np.array([hi], dtype=object),
+                            side="right" if hi_inc else "left")[0]
+        return int(i), int(max(i, j))
+
+    def read(self, rows: np.ndarray, columns: list[str] | None = None) -> pa.Table:
+        """The rows at sorted indices ``rows``, in that order, reading only
+        the row groups that hold them. ``columns`` must include ``term``
+        (or be None for every column)."""
+        if not len(rows):
+            t = self._pf.schema_arrow.empty_table()
+            return t if columns is None else t.select(columns)
+        g = np.searchsorted(self.rg_end, rows, side="right")  # row group of each row
+        rgs, inv = np.unique(g, return_inverse=True)
+        sizes = self.rg_end[rgs] - self.rg_start[rgs]
+        # a row's index in the read table: its offset in its group plus the
+        # rows of the groups read before it
+        local = rows - self.rg_start[g] + (np.cumsum(sizes) - sizes)[inv]
+        with self._lock:
+            t = self._pf.read_row_groups(rgs.tolist(), columns=columns, use_threads=False)
+        t = t.take(pa.array(local))
+        got = t.column("term").to_numpy(zero_copy_only=False)
+        if not np.array_equal(got, self.terms[rows]):
+            raise RuntimeError(f"{self.path}: posting rows do not match the term dictionary")
+        return t
+
+    def nbytes(self) -> int:
+        """Resident bytes: the term strings, the pointer array and the
+        row-group offsets (the open file handle is not counted)."""
+        return (self.terms.nbytes + self.rg_end.nbytes + self.rg_start.nbytes
+                + sum(sys.getsizeof(t) for t in self.terms))
+
+
+# (abs index_dir, part) → that partition's dictionary at its current epoch;
+# insertion order is recency (LRU, like the posting cache)
+_TERM_DICTS: dict[tuple[str, int], TermDictionary] = {}
+_TERM_DICTS_CAP = 512
+_TERM_DICTS_LOCK = threading.Lock()
+
+
+def manifest_epoch(index_dir: str, part: int) -> float:
+    """A partition's cache epoch: its manifest's mtime (-1.0 when absent).
+    extend, repair and compact rewrite the manifest, so the epoch moves
+    whenever ``postings.parquet`` or ``forward.parquet`` is replaced."""
+    try:
+        return os.path.getmtime(manifest_path(index_dir, part))
+    except OSError:
+        return -1.0
+
+
+def term_dictionary(index_dir: str, part: int) -> TermDictionary:
+    """The partition's resident dictionary, loaded on first use and again
+    when its manifest epoch moves; the superseded one is dropped, so at most
+    one stays resident per (index_dir, part)."""
+    key = (os.path.abspath(index_dir), part)
+    epoch = manifest_epoch(index_dir, part)
+    with _TERM_DICTS_LOCK:
+        td = _TERM_DICTS.pop(key, None)
+        if td is not None and td.epoch == epoch:
+            _TERM_DICTS[key] = td  # touch: most recent
+            return td
+    td = TermDictionary(os.path.join(part_dir(index_dir, part), "postings.parquet"), epoch)
+    with _TERM_DICTS_LOCK:
+        _TERM_DICTS[key] = td
+        while len(_TERM_DICTS) > _TERM_DICTS_CAP:
+            _TERM_DICTS.pop(next(iter(_TERM_DICTS)))
+    return td
 
 
 def read_postings_for_terms(index_dir: str, part: int, keys: list[str]) -> pa.Table:
-    """Read only the posting rows for ``keys`` (parquet row-group pruning via
-    the sorted term_key column's min/max stats)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    path = os.path.join(part_dir(index_dir, part), "postings.parquet")
-    if not keys:
-        return pq.read_schema(path).empty_table()
-    dset = pads.dataset(path, format="parquet")
-    return dset.to_table(filter=pc.field("term").isin(keys))
+    """The posting rows for ``keys`` in term order (absent keys have none)."""
+    td = term_dictionary(index_dir, part)
+    return td.read(td.find(keys))
 
 
 def read_term_dfs(index_dir: str, part: int, keys: list[str]) -> dict[str, int]:
-    """term_key → df for ``keys`` — a metadata-only pushdown read (term + df
-    columns, row groups pruned by the sorted term stats). The suggester's
-    read path: document frequency without touching posting bytes."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    if not keys:
-        return {}
-    path = os.path.join(part_dir(index_dir, part), "postings.parquet")
-    dset = pads.dataset(path, format="parquet")
-    t = dset.to_table(filter=pc.field("term").isin(keys), columns=["term", "df"])
+    """term_key → df for ``keys``: the term and df columns only. The
+    suggester's read path: document frequency without touching posting
+    bytes."""
+    td = term_dictionary(index_dir, part)
+    t = td.read(td.find(keys), ["term", "df"])
     return dict(zip(t["term"].to_pylist(), (int(x) for x in t["df"].to_pylist())))
 
 
@@ -267,18 +373,7 @@ def read_term_range(index_dir: str, part: int, field: str, prefix: str) -> list[
     """Sorted terms of ``field`` starting with ``prefix`` (wildcard expansion —
     the reference's streamTermIdsForField range scan,
     MiruAggregateUtil.java:1160-1168)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    lo = term_key(field, prefix)
-    hi = term_key(field, prefix) + "\U0010ffff"
-    path = os.path.join(part_dir(index_dir, part), "postings.parquet")
-    dset = pads.dataset(path, format="parquet")
-    t = dset.to_table(
-        filter=(pc.field("term") >= lo) & (pc.field("term") <= hi), columns=["term"]
-    )
-    sep_len = len(field) + 1
-    return [k[sep_len:] for k in t["term"].to_pylist()]
+    return read_term_between(index_dir, part, field, prefix, prefix + "\U0010ffff")
 
 
 def read_term_between(
@@ -294,18 +389,12 @@ def read_term_between(
     None) — the term-range scan behind ``field:[lo TO hi]`` queries
     (reference: MiruTermComposer numeric ranges + makeUpperExclusive,
     MiruTermComposer.java:130-145,265-280)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
     lo_key = term_key(field, lo if lo is not None else "")
     hi_key = term_key(field, hi) if hi is not None else term_key(field, "") + "\U0010ffff"
-    expr = (pc.field("term") >= lo_key) if lo_inc else (pc.field("term") > lo_key)
-    expr = expr & ((pc.field("term") <= hi_key) if hi_inc else (pc.field("term") < hi_key))
-    path = os.path.join(part_dir(index_dir, part), "postings.parquet")
-    dset = pads.dataset(path, format="parquet")
-    t = dset.to_table(filter=expr, columns=["term"])
+    td = term_dictionary(index_dir, part)
+    i, j = td.span(lo_key, hi_key, lo_inc, hi_inc)
     sep_len = len(field) + 1
-    return [k[sep_len:] for k in t["term"].to_pylist()]
+    return [k[sep_len:] for k in td.terms[i:j].tolist()]
 
 
 def remove_docs(index_dir: str, keys: list[tuple[str, int]]) -> dict[int, int]:

@@ -31,6 +31,8 @@ over new vocabulary entries.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -351,8 +353,10 @@ def german_stem(word: str) -> str:
 from .stemmers import STEMMERS as _LOCALE_STEMMERS
 
 _STEMMERS = {"en": porter2_stem, "de": german_stem, **_LOCALE_STEMMERS}
-_MEMOS: dict[str, dict[str, str]] = {lang: {} for lang in _STEMMERS}
-_MEMO_CAP = 1 << 20  # vocab entries per language; wholesale reset at cap
+# per-language token → stem memo, least recently used first: a hit moves
+# its entry to the end, and past the cap the front entries are evicted
+_MEMOS: dict[str, OrderedDict[str, str]] = {lang: OrderedDict() for lang in _STEMMERS}
+_MEMO_CAP = 1 << 20  # vocab entries per language
 
 
 def stem_array(tokens: pa.Array | pa.ChunkedArray, lang: str = "en") -> pa.Array:
@@ -367,15 +371,17 @@ def stem_array(tokens: pa.Array | pa.ChunkedArray, lang: str = "en") -> pa.Array
     d = tokens.dictionary_encode()
     vocab = d.dictionary.to_pylist()
     memo = _MEMOS[lang]
-    if len(memo) > _MEMO_CAP:
-        memo.clear()
     out = []
     for v in vocab:
         s = memo.get(v)
         if s is None:
             s = stem_fn(v)
             memo[v] = s
+        else:
+            memo.move_to_end(v)
         out.append(s)
+    while len(memo) > _MEMO_CAP:
+        memo.popitem(last=False)
     return pa.array(out, pa.string()).take(d.indices)
 
 

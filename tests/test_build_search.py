@@ -679,38 +679,93 @@ def test_repair_preserves_tombstones_and_streams(ray_session, tiny_transcripts_d
 
 
 def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
-    """Wildcard/range expansions are cached per (partition, epoch): a
-    repeated prefix query re-reads NO term dictionary, and bumping a
-    partition's manifest epoch (what extend/repair do) invalidates only
-    that partition's entry. Results identical throughout."""
-    import miru_ray.search as S
+    """Prefix expansion is a slice of each partition's resident term
+    dictionary: a repeated prefix query loads each partition's dictionary
+    once, and bumping a partition's manifest epoch (what extend/repair do)
+    reloads only that partition and drops its superseded entry. Results
+    identical throughout."""
+    import miru_ray.segments as SG
     from miru_ray.segments import manifest_path
 
-    S._EXPANSION_CACHE.clear()
-    calls = []
-    real = S.read_term_range
+    loads = []
+    real = SG.TermDictionary
 
-    def counting(index_dir_, part, field, prefix):
-        calls.append(part)
-        return real(index_dir_, part, field, prefix)
+    class Counting(real):
+        def __init__(self, path, epoch):
+            loads.append(path)
+            super().__init__(path, epoch)
 
-    monkeypatch.setattr(S, "read_term_range", counting)
+    monkeypatch.setattr(SG, "TermDictionary", Counting)
+    monkeypatch.setattr(SG, "_TERM_DICTS", {})
     hits1, found1 = engine.search("w004*", k=15, parallel=False)
     assert found1 > 0
-    first_calls = len(calls)
-    assert first_calls > 0  # one dictionary scan per partition
+    assert len(loads) == N_PARTS and len(set(loads)) == N_PARTS  # one load each
+    resident = dict(SG._TERM_DICTS)
+    assert len(resident) == N_PARTS
     hits2, found2 = engine.search("w004*", k=15, parallel=False)
-    assert len(calls) == first_calls  # all partitions served from cache
+    assert len(loads) == N_PARTS  # every partition served from its resident dictionary
     assert found2 == found1
     assert [(h.doc_id, h.part) for h in hits2] == [(h.doc_id, h.part) for h in hits1]
     # epoch bump on ONE partition (extend/repair rewrite the manifest):
-    # only that partition re-scans its dictionary
+    # only that partition reloads, and its superseded entry is dropped
     mp = manifest_path(index_dir, 0)
     os.utime(mp, (os.path.getmtime(mp) + 2, os.path.getmtime(mp) + 2))
     hits3, found3 = engine.search("w004*", k=15, parallel=False)
-    assert len(calls) == first_calls + 1 and calls[-1] == 0
+    assert len(loads) == N_PARTS + 1 and loads[-1] == os.path.join(
+        SG.part_dir(index_dir, 0), "postings.parquet")
+    assert set(SG._TERM_DICTS) == set(resident)  # still one per partition
+    for key, td in SG._TERM_DICTS.items():
+        assert (td is resident[key]) == (key[1] != 0), key
+    assert SG._TERM_DICTS[(os.path.abspath(index_dir), 0)].epoch == os.path.getmtime(mp)
     assert found3 == found1
     assert [(h.doc_id, h.part) for h in hits3] == [(h.doc_id, h.part) for h in hits1]
+
+
+def test_warm_engine_sees_new_epoch_term(ray_session, tiny_transcripts_dir, tmp_path_factory):
+    """A warm engine queried across a real extend_index: a conv_id term that
+    exists only in the new epoch finds nothing before the extend (and leaves
+    negative posting-cache entries under the old epoch) and, after it,
+    exactly the answer of a fresh build of the same files."""
+    t = pa.concat_tables(
+        [pq.read_table(f) for f in sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))]
+    )
+    convs = sorted(set(t["conv_id"].to_pylist()))
+    cut = convs[len(convs) // 2]
+    first = t.filter(pa.compute.less(t["conv_id"], cut))
+    second = t.filter(pa.compute.greater_equal(t["conv_id"], cut))
+    # new-epoch conv ids without the '-' the query analyzer splits on, so the
+    # query is one exact conv_id term
+    second = second.set_column(
+        second.schema.get_field_index("conv_id"), "conv_id",
+        pa.compute.replace_substring(second["conv_id"], "-", ""),
+    )
+    src1 = str(tmp_path_factory.mktemp("warm_src1"))
+    src2 = str(tmp_path_factory.mktemp("warm_src2"))
+    pq.write_table(first, os.path.join(src1, "a.parquet"))
+    pq.write_table(second, os.path.join(src2, "b.parquet"))
+    new_conv = second["conv_id"][0].as_py()
+    query = f"conv_id:{new_conv}"
+
+    from miru_ray.build import extend_index
+
+    d = str(tmp_path_factory.mktemp("idx_warm_epoch"))
+    build_index(src1, d, n_parts=N_PARTS)
+    eng = SearchEngine(d)
+    try:
+        for parallel in (False, True):
+            assert eng.search(query, k=10, scoring="bm25", parallel=parallel) == ([], 0)
+            assert eng.search("t1 t7", k=10, parallel=parallel)[1] > 0  # warm the caches
+        extend_index(src2, d)
+
+        fresh = str(tmp_path_factory.mktemp("idx_warm_fresh"))
+        build_index([os.path.join(src1, "a.parquet"), os.path.join(src2, "b.parquet")],
+                    fresh, n_parts=N_PARTS)
+        want = SearchEngine(fresh).search(query, k=10, scoring="bm25", parallel=False)
+        assert want[1] > 0 and {h.conv_id for h in want[0]} == {new_conv}
+        for parallel in (False, True):
+            assert eng.search(query, k=10, scoring="bm25", parallel=parallel) == want
+    finally:
+        eng.close()
 
 
 def test_search_after_pagination(engine):

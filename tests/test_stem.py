@@ -98,6 +98,37 @@ def test_stem_array_equals_scalar():
     assert stem_array(pa.array([], pa.string())).to_pylist() == []
 
 
+def test_memo_lru_eviction_order_and_touch(monkeypatch):
+    """The per-language stem memo is an LRU: a hit moves the token to the
+    most-recent end, and past the cap the least recently used tokens go
+    first — never the whole memo."""
+    from collections import OrderedDict
+
+    import miru_ray.stem as St
+
+    monkeypatch.setitem(St._MEMOS, "en", OrderedDict())
+    monkeypatch.setattr(St, "_MEMO_CAP", 4)
+
+    def stem(*words):
+        return stem_array(pa.array(list(words), pa.string())).to_pylist()
+
+    stem("running", "jumps")
+    stem("cats", "flies")
+    assert list(St._MEMOS["en"]) == ["running", "jumps", "cats", "flies"]
+
+    # a HIT on running touches it most-recent
+    assert stem("running") == ["run"]
+    assert list(St._MEMOS["en"]) == ["jumps", "cats", "flies", "running"]
+
+    # two misses at cap → the two least recently used (jumps, cats) evict;
+    # the touched running survives
+    assert stem("played", "happily") == ["play", "happili"]
+    assert list(St._MEMOS["en"]) == ["flies", "running", "played", "happily"]
+    # an evicted token stems the same when it comes back
+    assert stem("jumps", "running") == ["jump", "run"]
+    assert list(St._MEMOS["en"]) == ["played", "happily", "jumps", "running"]
+
+
 def test_en_analyzer_parity_and_stopwords():
     a = get_analyzer("en")
     texts = ["Merged TABLES are valuable", "the customers keep querying", ""]

@@ -29,15 +29,12 @@ MiruBitmapsRoaring cardinality==df bookkeeping.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from .codec import DOCLEN_TERM, FWD_TERM, POS_FIELD, decode_posting
 from .hashing import fnv1a64
-from .segments import completed_parts, part_dir, read_global_manifest, read_manifest, read_tombstones
+from .segments import completed_parts, partition, read_global_manifest, read_tombstones
 
 
 def _err(errors: list, part: int, what: str, detail: str = "") -> None:
@@ -47,20 +44,18 @@ def _err(errors: list, part: int, what: str, detail: str = "") -> None:
 def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
     """Audit one partition; returns {part, n_terms_checked, errors}."""
     errors: list[dict] = []
-    m = read_manifest(index_dir, part)
+    pt = partition(index_dir, part)
+    m = pt.manifest
     if m is None:
         _err(errors, part, "manifest", "missing/incomplete/stale-version")
         return {"part": part, "n_terms_checked": 0, "errors": errors}
     read_global_manifest(index_dir)  # raises on an index of another codec
-    d = part_dir(index_dir, part)
     try:
-        post = pq.read_table(os.path.join(d, "postings.parquet"))
+        post = pt.postings_table()
     except Exception as ex:
         _err(errors, part, "postings-read", str(ex))
         return {"part": part, "n_terms_checked": 0, "errors": errors}
-    from .segments import read_forward_table
-
-    fwd = read_forward_table(index_dir, part)
+    fwd = pt.forward_table()
     doc_ids = fwd["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     if not bool(np.all(np.diff(doc_ids) > 0)):
         _err(errors, part, "forward-order", "doc_id not strictly increasing")

@@ -825,6 +825,21 @@ def _ts_bounds(forward: pa.Table | None) -> dict:
     return {"ts_min": mm["min"].as_py(), "ts_max": mm["max"].as_py()}
 
 
+def _posting_metrics(postings: pa.Table, n_docs: int) -> dict:
+    """The manifest metrics a partition's postings determine."""
+    text_mask = pc.starts_with(postings["term"], TEXT_FIELD + "\x1f")
+    total_tokens = int(
+        pc.sum(pc.if_else(text_mask, postings["ttf"], pa.scalar(0, pa.int64()))).as_py() or 0
+    )
+    return {
+        "n_docs": n_docs,
+        "n_terms": int(postings.num_rows),
+        "total_tokens": total_tokens,
+        "avg_dl": float(total_tokens / n_docs) if n_docs else 0.0,
+        "posting_bytes": int(sum(postings[c].nbytes for c in ("doc_bytes", "tf_bytes"))),
+    }
+
+
 def _write_partition(
     index_dir: str,
     part: int,
@@ -856,22 +871,11 @@ def _write_partition(
     tmarks.append(("derived", time.monotonic()))
     postings = postings.take(pc.sort_indices(postings, sort_keys=[("term", "ascending")]))
     tmarks.append(("sort", time.monotonic()))
-    text_mask = pc.starts_with(postings["term"], TEXT_FIELD + "\x1f")
-    total_tokens = int(
-        pc.sum(pc.if_else(text_mask, postings["ttf"], pa.scalar(0, pa.int64()))).as_py() or 0
-    )
     if forward is not None and forward.num_rows != n_docs:
         raise AssertionError(
             f"part {part}: forward rows {forward.num_rows} != expected {n_docs}"
         )
-    posting_bytes = sum(postings[c].nbytes for c in ("doc_bytes", "tf_bytes"))
-    metrics = {
-        "n_docs": n_docs,
-        "n_terms": int(postings.num_rows),
-        "total_tokens": total_tokens,
-        "avg_dl": float(total_tokens / n_docs) if n_docs else 0.0,
-        "posting_bytes": int(posting_bytes),
-    }
+    metrics = _posting_metrics(postings, n_docs)
     metrics.update(_ts_bounds(forward))
     finalize_segment(index_dir, part, postings, lineage, metrics, forward)
     if timing:
@@ -884,9 +888,9 @@ def _write_partition(
     return {
         "part": part,
         "n_docs": n_docs,
-        "n_terms": int(postings.num_rows),
-        "total_tokens": total_tokens,
-        "posting_bytes": int(posting_bytes),
+        "n_terms": metrics["n_terms"],
+        "total_tokens": metrics["total_tokens"],
+        "posting_bytes": metrics["posting_bytes"],
         "build_sec": time.monotonic() - t0,
         "skipped": False,
     }
@@ -1228,20 +1232,17 @@ class SegmentExtender:
         self.lineage = lineage
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        from .segments import read_forward_table, read_manifest
+        from .segments import partition
 
         t0 = time.monotonic()
         if group.num_rows == 0:
             return MANIFEST_ROW_SCHEMA.empty_table()
         part = int(group["part"][0].as_py())
         new_runs, new_fwd = runs_split_forward(unpack_group(group))
-        old_manifest = read_manifest(self.index_dir, part)
+        pt = partition(self.index_dir, part)
+        old_manifest = pt.manifest
         if old_manifest is not None:
-            old_post = pq.read_table(
-                os.path.join(self.index_dir, f"part={part:05d}", "postings.parquet")
-            )
+            old_post = pt.postings_table()
             # pairedLatest rows are partition-global (latest-per-pair) —
             # appended docs can displace them, so drop and recompute below.
             # Composite rows are recomputed from the merged forward too (the
@@ -1253,7 +1254,7 @@ class SegmentExtender:
                 old_post = old_post.filter(
                     pc.invert(pc.starts_with(old_post["term"], prefix))
                 )
-            old_fwd = read_forward_table(self.index_dir, part)
+            old_fwd = pt.forward_table()
             all_runs = pa.concat_tables([old_post, new_runs]) if new_runs.num_rows else old_post
             forward = (
                 pa.concat_tables([old_fwd, new_fwd]).combine_chunks()
@@ -1334,7 +1335,7 @@ def extend_index(
         # new rows CONTINUE the global row order — fill the last open
         # partition to rows_per_part, then open new partitions. Partition
         # and docId stay pure arithmetic over the appended global offset.
-        from .segments import read_forward_table
+        from .segments import partition
 
         # committed pre-extend row count: gmeta["total_rows"] (updated only
         # on success) — NOT sum of partition doc counts, which a crashed or
@@ -1358,7 +1359,7 @@ def extend_index(
         if not any(p in done for p in new_docs_by_part):
             last_part = max((p for p, c in existing.items() if c), default=None)
             if last_part is not None:
-                old_fwd = read_forward_table(index_dir, last_part)
+                old_fwd = partition(index_dir, last_part).forward_table()
                 if old_fwd.num_rows:
                     last_key = (
                         old_fwd["conv_id"][old_fwd.num_rows - 1].as_py(),
@@ -1544,23 +1545,19 @@ def compact_partition(index_dir: str, part: int) -> dict:
     bounds) — the unique normal form, independent of how many epochs
     built the partition. DocIds are untouched (never reassigned — the
     reference's contract); tombstones and stream state are untouched.
-    Answer-invariant; the manifest rewrite bumps the epoch so warm caches
-    refresh. Per-term decode work is numpy; the python loop is only over
-    posting ROWS (one per term), the same granularity the merge path
-    already pays."""
-    import json
+    Answer-invariant. The segment goes through ``finalize_segment`` (forward
+    table untouched), so the manifest records the compacted posting metrics,
+    its rewrite bumps the epoch so warm caches refresh, and the ``commit``
+    lifecycle callbacks fire. Per-term decode work is numpy; the python loop
+    is only over posting ROWS (one per term), the same granularity the merge
+    path already pays."""
+    from .segments import partition, read_global_manifest
 
-    import pyarrow.parquet as _pq
-
-    from .segments import (
-        forward_columns, manifest_path, part_dir, read_global_manifest,
-        read_manifest,
-    )
-
-    pdir = part_dir(index_dir, part)
-    t = _pq.read_table(os.path.join(pdir, "postings.parquet")).combine_chunks()
     read_global_manifest(index_dir)  # raises on an index of another codec
-    fwd_dl = np.asarray(forward_columns(index_dir, part)["dl"], dtype=np.int64)
+    pt = partition(index_dir, part)
+    man = pt.manifest
+    t = pt.postings_table().combine_chunks()
+    fwd_dl = pt.forward_table()["dl"].to_numpy().astype(np.int64)
     terms = t["term"].to_pylist()
     from .codec import decode_posting
 
@@ -1589,17 +1586,8 @@ def compact_partition(index_dir: str, part: int) -> dict:
         )
     out = pa.concat_tables([_batch(norm, True), _batch(pos, False)])
     out = out.take(pc.sort_indices(out, sort_keys=[("term", "ascending")]))
-    tmp = os.path.join(pdir, "postings.parquet.tmp")
-    _pq.write_table(out, tmp, row_group_size=1024)
-    os.replace(tmp, os.path.join(pdir, "postings.parquet"))
-    man = read_manifest(index_dir, part)
-    man.setdefault("lineage", {})["compacted"] = True
-    mp = manifest_path(index_dir, part)
-    with open(mp + ".tmp", "w") as f:
-        json.dump(man, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(mp + ".tmp", mp)
+    metrics = dict(man["metrics"], **_posting_metrics(out, man["metrics"]["n_docs"]))
+    finalize_segment(index_dir, part, out, dict(man["lineage"], compacted=True), metrics)
     return {"part": part, "rows": out.num_rows}
 
 
@@ -1607,8 +1595,9 @@ def compact_index(index_dir: str, parts: list[int] | None = None) -> list[dict]:
     """Compact partitions to canonical posting form (see
     compact_partition), fanned out as Ray tasks when Ray is up (partitions
     are independent; each task is one partition — the same unit the build
-    checkpoints on)."""
-    from .segments import completed_parts
+    checkpoints on). ``index.json``'s totals are then recomputed from the
+    manifests."""
+    from .segments import completed_parts, read_global_manifest
 
     todo = sorted(parts) if parts is not None else completed_parts(index_dir)
     try:
@@ -1618,11 +1607,13 @@ def compact_index(index_dir: str, parts: list[int] | None = None) -> list[dict]:
     except ImportError:
         use_ray = False
     if use_ray and len(todo) > 1:
-        import ray
-
         fn = ray.remote(num_cpus=1)(compact_partition)
-        return ray.get([fn.remote(index_dir, p) for p in todo])
-    return [compact_partition(index_dir, p) for p in todo]
+        out = ray.get([fn.remote(index_dir, p) for p in todo])
+    else:
+        out = [compact_partition(index_dir, p) for p in todo]
+    write_global_manifest(index_dir, dict(read_global_manifest(index_dir),
+                                          totals=_totals_from_manifests(index_dir)))
+    return out
 
 
 def repair_partitions(
@@ -1650,9 +1641,8 @@ def repair_partitions(
     from .segments import (
         _mutate_stream_set,
         part_dir,
-        read_forward_table,
+        partition,
         read_global_manifest,
-        read_manifest,
         read_tombstones,
         remove_docs,
     )
@@ -1681,9 +1671,10 @@ def repair_partitions(
     tomb_keys: list[tuple[str, int]] = []
     stream_keys: dict[tuple[str, str], list[tuple[str, int]]] = {}
     for p in parts:
-        if read_manifest(index_dir, p) is None:
+        pt = partition(index_dir, p)
+        if pt.manifest is None:
             continue
-        fwd = read_forward_table(index_dir, p)
+        fwd = pt.forward_table()
         tomb_keys.extend(keys_of(fwd, read_tombstones(index_dir, p).tolist()))
         for path in _glob.glob(os.path.join(part_dir(index_dir, p), "*.parquet")):
             name = os.path.basename(path)
@@ -1745,7 +1736,7 @@ def upsert_rows(
     import pyarrow.parquet as _pq
 
     from .hashing import fnv1a64
-    from .segments import read_forward_table, read_global_manifest
+    from .segments import partition, read_global_manifest
 
     gmeta = read_global_manifest(index_dir)
     n_parts = gmeta["n_parts"]
@@ -1808,7 +1799,7 @@ def upsert_rows(
     # version gate against the INDEX's forward ts
     winners = np.zeros(len(up_keys), dtype=bool)
     for p in sorted(set(int(x) for x in part_of)):
-        fwd = read_forward_table(index_dir, p)
+        fwd = partition(index_dir, p).forward_table()
         lut = {}
         want = {up_keys[i] for i in np.flatnonzero(part_of == p)}
         conv = fwd["conv_id"].to_pylist()
@@ -1938,8 +1929,7 @@ def expire_partitions(
     Returns {'expired': [...], 'kept': [...], 'freed_bytes': n}."""
     import shutil
 
-    from .search import _cached_manifest
-    from .segments import completed_parts, part_dir
+    from .segments import completed_parts, part_dir, partition
 
     # sweep tomb dirs left by a crash between rename and rmtree: their
     # partitions are already gone from completed_parts, so this entry-time
@@ -1950,7 +1940,7 @@ def expire_partitions(
 
     expired, kept, freed = [], [], 0
     for p in sorted(completed_parts(index_dir)):
-        met = _cached_manifest(index_dir, p).get("metrics", {})
+        met = partition(index_dir, p).manifest.get("metrics", {})
         ts_max = met.get("ts_max")
         if ts_max is not None and int(ts_max) < older_than_ts:
             d = part_dir(index_dir, p)

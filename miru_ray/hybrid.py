@@ -57,11 +57,12 @@ def _bm25_candidates(sf_dir: str, terms: tuple[str, ...], n: int) -> np.ndarray:
     idf), rank = (score desc, doc_id desc). Same chain as ann.mmr_rerank_docs'
     candidate stage; the engine's fp32 path is rank-identity pytest-gated."""
     from .search import PostingSource
-    from .segments import forward_columns, read_manifest
+    from .segments import partition
     from .transcripts import ensure_index
 
     index_dir = ensure_index(sf_dir, 1)
-    man = read_manifest(index_dir, 0)
+    pt = partition(index_dir, 0)
+    man = pt.manifest
     n_docs = man["metrics"]["n_docs"]
     avgdl = man["metrics"]["total_tokens"] / n_docs
     src = PostingSource(index_dir, 0, [("text", w) for w in terms], 0)
@@ -69,7 +70,7 @@ def _bm25_candidates(sf_dir: str, terms: tuple[str, ...], n: int) -> np.ndarray:
     for w in terms:
         d = src.docs("text", w)
         answer = d if answer is None else np.intersect1d(d, answer, assume_unique=True)
-    dl = forward_columns(index_dir, 0)["dl"][answer].astype(np.float64)
+    dl = pt.forward["dl"][answer].astype(np.float64)
     knorm = 1.2 * (0.25 + 0.75 * (dl / avgdl))
     score = np.zeros(len(answer), dtype=np.float64)
     for w in terms:

@@ -34,10 +34,7 @@ import numpy as np
 
 from .filters import DEFAULT_MAX_WILDCARD_EXPANSION
 from .search import PostingSource, _collect_term_specs, eval_filter_np
-from .segments import (
-    FIELD_SEP, META_FIELDS, forward_columns, read_term_dfs, term_dictionary,
-)
-from .search import _cached_manifest
+from .segments import FIELD_SEP, META_FIELDS, forward_columns, partition, read_term_dfs
 
 
 def _answer(index_dir: str, part: int, query: str | None, use_stopwords: bool,
@@ -53,8 +50,7 @@ def _answer(index_dir: str, part: int, query: str | None, use_stopwords: bool,
     overlaps earlier ones."""
     from .segments import read_tombstones
 
-    man = _cached_manifest(index_dir, part)
-    n_docs = man["metrics"]["n_docs"]
+    n_docs = partition(index_dir, part).manifest["metrics"]["n_docs"]
     fwd = forward_columns(index_dir, part)
     removed = read_tombstones(index_dir, part)
     if query is None:
@@ -92,7 +88,7 @@ def _postings_meta(index_dir: str, part: int, field: str, prefix: str = ""):
     """(terms, first_doc, last_doc, df) of a field's postings: a slice of
     the resident term dictionary, metadata columns only."""
     lo = field + FIELD_SEP + prefix
-    td = term_dictionary(index_dir, part)
+    td = partition(index_dir, part).dictionary
     i, j = td.span(lo, lo + "\U0010ffff")
     t = td.read(np.arange(i, j, dtype=np.int64), ["term", "first_doc", "last_doc", "df"])
     sep = len(field) + 1

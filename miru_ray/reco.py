@@ -184,11 +184,10 @@ def reco_cf_partition(
     The same bitmap chain as the reference (and/andNot/orMultiTx + gather,
     CollaborativeFiltering.java:88-213), vectorized over sorted docId
     arrays."""
-    from .search import PostingSource, _cached_manifest
-    from .segments import forward_columns, read_tombstones
+    from .search import PostingSource
+    from .segments import forward_columns, partition, read_tombstones
 
-    man = _cached_manifest(index_dir, part)
-    if man is None:
+    if partition(index_dir, part).manifest is None:
         return []
     removed = read_tombstones(index_dir, part)
 

@@ -5,10 +5,13 @@ FullTextCustomQuestion.askLocal → MiruAggregateUtil.filter →
 FullText.collectTfIdf → FullTextAnswerMerger.merge) over our segment
 layout: the query plan (parsed filter AST + scoring config) is sent to the
 partition-pinned actor pool when Ray is in use, and asked of each partition
-serially in process otherwise; each partition looks its terms up in the
-resident term dictionary and reads only the row groups that hold them,
-then does sorted-array set algebra, fp32 scoring and a local top-k; the
-driver does the exact two-pointer ordered merge.
+serially in process otherwise. Each partition is read through its resident
+``segments.Partition`` (manifest, term dictionary, forward columns and the
+decoded-posting, expansion and authz caches, all at the partition's
+manifest epoch); it looks its terms up in the term dictionary, reads only
+the row groups that hold them, then does sorted-array set algebra, fp32
+scoring and a local top-k; the driver does the exact two-pointer ordered
+merge.
 
 Rank-identity contract (tested against the pure-python oracle):
 * signed term collector (±1 per collected term occurrence, sign flips for
@@ -44,7 +47,6 @@ pruning for conjunctive all-positive queries (see codec.BLOCK_SIZE).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +55,14 @@ from .codec import POS_FIELD, decode_posting
 from .filters import DEFAULT_MAX_WILDCARD_EXPANSION, Filter, parse_query
 from .segments import (
     FIELD_SEP,
+    completed_parts,
     forward_columns,
-    manifest_epoch,
+    index_meta,
+    partition,
     read_global_manifest,
-    read_manifest,
     read_postings_for_terms,
     read_term_between,
     read_term_range,
-    completed_parts,
 )
 
 F32 = np.float32
@@ -103,31 +105,6 @@ def _has_phrase(filt: Filter) -> bool:
     return filt.op == "phrase" or any(_has_phrase(s) for s in filt.sub_filters)
 
 
-# per-process decoded-posting cache: (index_dir, part, epoch, "field\x1fterm")
-# → (docs, tfs, ttf, df, blocks) | None-for-absent. The analogue of the
-# reference's per-partition bitmap caches held by reader nodes (LAB leap
-# cache / StrutModelCache.java pattern). Partition-pinned query actors keep
-# it warm across queries and make hits deterministic. A miss is looked up in
-# the partition's resident term dictionary (segments.term_dictionary) and
-# read from the row groups that hold it. The epoch component is the
-# partition manifest's mtime: extend_index / repair rewrite
-# postings.parquet + manifest, so warm workers must not serve the
-# pre-extend postings or n_docs (mirrors _FORWARD_CACHE/_TOMBSTONE_CACHE).
-_POSTING_CACHE: dict[tuple, tuple | None] = {}
-_POSTING_CACHE_CAP = 200_000
-_MANIFEST_CACHE: dict[tuple, dict] = {}
-
-# per-process fuzzy/regexp expansion cache: (index_dir, part, epoch, field,
-# spec) → sorted matching terms. Prefix and range specs are not cached:
-# they are a searchsorted slice of the resident term dictionary (about
-# 30 us for a 100-term prefix). Fuzzy and regexp results are derived from
-# the whole field dictionary (an edit-distance sweep or a regex pass), so
-# those are kept.
-# Epoch-keyed like the posting cache so extend/repair invalidate it.
-_EXPANSION_CACHE: dict[tuple, list] = {}
-_EXPANSION_CACHE_CAP = 50_000
-
-
 def _fuzzy_filter(terms: list[str], q: str, k: int) -> list[str]:
     """Sorted subset of ``terms`` within byte-level Levenshtein distance
     ``k`` of ``q`` — the FuzzyQuery expansion (Lucene walks a Levenshtein
@@ -167,49 +144,14 @@ def _fuzzy_filter(terms: list[str], q: str, k: int) -> list[str]:
     return [terms[i] for i in cand[dist <= k]]
 
 
-# analyzer name per index, keyed by the GLOBAL manifest's mtime epoch (like
-# _MANIFEST_CACHE): extend/repair never change the analyzer, but an
-# in-place REBUILD of the same directory may — the epoch key makes the
-# cache follow index.json instead of serving the first process-lifetime
-# answer forever
-_ANALYZER_CACHE: dict[tuple, str] = {}
-
-
 def _index_has_positions(index_dir: str) -> bool:
     """Whether the index carries the positional occurrence streams
     (``positions=True`` at build time) — phrase queries need them."""
-    try:
-        epoch = os.path.getmtime(os.path.join(index_dir, "index.json"))
-    except OSError:
-        epoch = -1.0
-    key = ("__positions__", index_dir, epoch)
-    hit = _ANALYZER_CACHE.get(key)
-    if hit is None:
-        from .segments import read_global_manifest
-
-        meta = read_global_manifest(index_dir) or {}
-        hit = "y" if meta.get("positions") else "n"
-        _ANALYZER_CACHE[key] = hit
-    return hit == "y"
+    return bool(index_meta(index_dir).get("positions"))
 
 
 def _analyzer_name(index_dir: str) -> str:
-    try:
-        epoch = os.path.getmtime(os.path.join(index_dir, "index.json"))
-    except OSError:
-        epoch = -1.0
-    key = (index_dir, epoch)
-    name = _ANALYZER_CACHE.get(key)
-    if name is None:
-        from .segments import read_global_manifest
-
-        meta = read_global_manifest(index_dir) or {}
-        name = (meta.get("tokenizer") or {}).get("analyzer", "default")
-        _ANALYZER_CACHE[key] = name
-    return name
-
-
-_MANIFEST_MISS = object()  # sentinel: a cached None must count as a hit
+    return (index_meta(index_dir).get("tokenizer") or {}).get("analyzer", "default")
 
 
 def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
@@ -235,23 +177,6 @@ def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
         )
 
 
-def _cached_manifest(index_dir: str, part: int) -> dict:
-    from .segments import read_manifest
-
-    key = (index_dir, part, manifest_epoch(index_dir, part))
-    # sentinel-based lookup so a cached None (missing / unreadable
-    # manifest — a vanished primary partition in replica mode) is a HIT:
-    # .get(key) alone would re-read the missing file on every query
-    # (ADVICE r4, the defeated negative cache)
-    m = _MANIFEST_CACHE.get(key, _MANIFEST_MISS)
-    if m is _MANIFEST_MISS:
-        m = read_manifest(index_dir, part)
-        if len(_MANIFEST_CACHE) > 4096:
-            _MANIFEST_CACHE.clear()
-        _MANIFEST_CACHE[key] = m
-    return m
-
-
 # lazy-tf threshold: postings with at least this many blocks keep their tf
 # bytes ENCODED at read time; docs decode once (set algebra needs them),
 # tf decodes per touched block during scoring (codec.decode_tf_range) —
@@ -271,18 +196,19 @@ def _list_rows(col) -> list[np.ndarray]:
 
 
 class PostingSource:
-    """Per-partition posting reader: one resident-dictionary read for the
-    terms a query needs that are not already in the process cache, decoded
-    into sorted docId arrays. Large postings defer tf decoding (lazy-tf)."""
+    """Per-partition posting reader: the terms a query needs, decoded into
+    sorted docId arrays. Entries come from the resident partition's posting
+    cache (the analogue of the reference's per-partition bitmap caches held
+    by reader nodes, LAB leap cache); the misses are one read through its
+    term dictionary, decoded and cached. Large postings defer tf decoding
+    (lazy-tf)."""
 
     def __init__(self, index_dir: str, part: int, specs: list[tuple[str, str]],
                  max_wild: int):
         from .filters import fuzzy_value, range_term_bounds, regexp_value
 
-        epoch = manifest_epoch(index_dir, part)
-
         def _expand(field: str, v: str) -> list[str]:
-            hit = expand_spec(index_dir, part, epoch, field, v)
+            hit = expand_spec(index_dir, part, field, v)
             # the cache holds the UNTRIMMED expansion; the maxWildcardExpansion
             # cap is per query (reference: FullTextQuery maxWildcardExpansion)
             return hit[:max_wild] if max_wild > 0 else hit
@@ -302,29 +228,12 @@ class PostingSource:
         self.ttf: dict[tuple[str, str], int] = {}
         self.df: dict[tuple[str, str], int] = {}
         self.blocks: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-        misses = []
-        for k in sorted(keys):
-            ck = (index_dir, part, epoch, k)
-            if ck in _POSTING_CACHE:
-                # LRU touch: dicts preserve insertion order, so pop+reinsert
-                # marks the entry most-recent (eviction takes the front)
-                hit = _POSTING_CACHE.pop(ck)
-                _POSTING_CACHE[ck] = hit
-                if hit is not None:
-                    field, term = k.split(FIELD_SEP, 1)
-                    self.post[(field, term)] = (hit[0], hit[1])
-                    self.ttf[(field, term)] = hit[2]
-                    self.df[(field, term)] = hit[3]
-                    self.blocks[(field, term)] = hit[4]
-            else:
-                misses.append(k)
+        self._pt = partition(index_dir, part)
+        hits, misses = self._pt.cached_postings(sorted(keys))
+        for k, hit in hits.items():
+            if hit is not None:
+                self._put(k, hit)
         if misses:
-            # evict least-recently-used entries one by one (replaces the
-            # old wholesale clear(), which dropped the whole warm set);
-            # the non-empty guard covers a single source whose miss set
-            # alone exceeds the cap
-            while _POSTING_CACHE and len(_POSTING_CACHE) + len(misses) > _POSTING_CACHE_CAP:
-                _POSTING_CACHE.pop(next(iter(_POSTING_CACHE)))
             t = read_postings_for_terms(index_dir, part, misses)
             terms = t["term"].to_pylist()
             doc_bytes = t["doc_bytes"].to_pylist()
@@ -335,9 +244,8 @@ class PostingSource:
             firsts, counts, max_tfs, min_dls, tf_ends = (
                 _list_rows(t[c]) for c in
                 ("blk_first", "blk_count", "blk_max_tf", "blk_min_dl", "blk_tf_end"))
-            found = set()
+            entries: dict[str, tuple | None] = dict.fromkeys(misses)  # None: absent
             for i, key_str in enumerate(terms):
-                field, term = key_str.split(FIELD_SEP, 1)
                 blk_first, blk_count, tf_raw = firsts[i], counts[i], tf_bytes[i]
                 DECODE_STATS["tf_bytes_total"] += len(tf_raw)
                 lazy = n_blocks[i] >= LAZY_TF_BLOCKS
@@ -346,7 +254,6 @@ class PostingSource:
                 )
                 if not lazy:
                     DECODE_STATS["tf_bytes_decoded"] += len(tf_raw)
-                ttf, df = ttfs[i], dfs[i]
                 blocks = {
                     "first": blk_first,
                     "count": blk_count,
@@ -357,16 +264,14 @@ class PostingSource:
                     blocks["tf_bytes"] = tf_raw
                     blocks["tf_end"] = tf_ends[i]
                     blocks["count_cum"] = np.cumsum(blk_count)
-                self.post[(field, term)] = (docs, tfs)
-                self.ttf[(field, term)] = ttf
-                self.df[(field, term)] = df
-                self.blocks[(field, term)] = blocks
-                _POSTING_CACHE[(index_dir, part, epoch, key_str)] = (docs, tfs, ttf, df, blocks)
-                found.add(key_str)
-            for k in misses:
-                if k not in found:
-                    _POSTING_CACHE[(index_dir, part, epoch, k)] = None  # negative entry
-        self._ckey = (index_dir, part, epoch)
+                entries[key_str] = (docs, tfs, ttfs[i], dfs[i], blocks)
+                self._put(key_str, entries[key_str])
+            self._pt.cache_postings(entries)
+
+    def _put(self, key_str: str, entry: tuple) -> None:
+        field_term = tuple(key_str.split(FIELD_SEP, 1))
+        docs, tfs, self.ttf[field_term], self.df[field_term], self.blocks[field_term] = entry
+        self.post[field_term] = (docs, tfs)
 
     def expand(self, field: str, value: str) -> list[str]:
         from .filters import fuzzy_value, regexp_value
@@ -384,8 +289,8 @@ class PostingSource:
 
     def tfs(self, field: str, term: str) -> np.ndarray:
         """Full tf array (forces a full decode of lazy-tf postings and
-        writes the eager form back to the process cache so later queries
-        skip the decode)."""
+        writes the eager form back to the partition's posting cache so
+        later queries skip the decode)."""
         p = self.post.get((field, term))
         if p is None:
             return _EMPTY
@@ -396,10 +301,8 @@ class PostingSource:
             DECODE_STATS["tf_bytes_decoded"] += len(blk["tf_bytes"])
             tfs = decode_tf_range(blk["tf_bytes"], blk["tf_end"], 0, len(blk["tf_end"]))
             self.post[(field, term)] = (p[0], tfs)
-            ck = self._ckey + (field + FIELD_SEP + term,)
-            hit = _POSTING_CACHE.get(ck)
-            if hit is not None:
-                _POSTING_CACHE[ck] = (hit[0], tfs, hit[2], hit[3], hit[4])
+            self._pt.update_posting(field + FIELD_SEP + term, (
+                p[0], tfs, self.ttf[(field, term)], self.df[(field, term)], blk))
             return tfs
         return p[1]
 
@@ -408,7 +311,7 @@ class PostingSource:
         Lazy-tf postings decode ONE contiguous block range covering the
         touched positions (vectorized — never a per-block python loop);
         when more than a quarter of the blocks are touched, fall through
-        to a full decode that is cached for the rest of the process."""
+        to a full decode that is cached with the partition."""
         p = self.post.get((field, term))
         if p is None:
             return _EMPTY
@@ -617,40 +520,32 @@ def eval_filter_np(
 # ------------------------------------------------------------ partition ask
 
 
-# per-process authz mask cache: composed allowed-docs set per
-# (partition, epoch, expression) — the MiruAuthzCache analogue
-# (miru-service/.../auth/MiruAuthzCache.java): an authz expression's mask
-# is reused across queries until the partition changes.
-_AUTHZ_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def authz_mask(index_dir: str, part: int, authz: tuple[str, tuple[str, ...]],
                n_docs: int) -> np.ndarray:
     """Allowed docIds for an authz expression ``(field, allowed_values)``:
     the union of the values' postings (a doc is visible iff it carries at
     least one allowed label — the reference's composite authz bitmap,
-    MiruAuthzIndex.java / MiruAuthzCache.java), cached per process."""
+    MiruAuthzIndex.java). The mask is kept in the resident partition and
+    reused until the partition changes (MiruAuthzCache.java)."""
     field, values = authz
-    key = (index_dir, part, manifest_epoch(index_dir, part), field, tuple(sorted(values)))
-    hit = _AUTHZ_CACHE.get(key)
+    pt = partition(index_dir, part)
+    key = (field, tuple(sorted(values)))
+    hit = pt.authz.get(key)
     if hit is None:
         src = PostingSource(index_dir, part, [(field, v) for v in values], 0)
         arrs = [src.docs(field, v) for v in values]
         arrs = [a for a in arrs if len(a)]
-        hit = np.unique(np.concatenate(arrs)) if arrs else _EMPTY
-        if len(_AUTHZ_CACHE) > 1024:
-            _AUTHZ_CACHE.clear()
-        _AUTHZ_CACHE[key] = hit
+        hit = pt.remember(pt.authz, key, np.unique(np.concatenate(arrs)) if arrs else _EMPTY)
     return hit
 
 
-def expand_spec(index_dir: str, part: int, epoch: float, field: str,
-                v: str) -> list[str]:
+def expand_spec(index_dir: str, part: int, field: str, v: str) -> list[str]:
     """UNTRIMMED sorted term expansion of spec ``v`` (prefix ``x*``, range
     ``[lo TO hi]``, fuzzy ``x~N``, regexp ``/re/``). Prefix and range specs
-    are a slice of the resident term dictionary; a fuzzy/regexp spec derives
-    from the field's whole dictionary (≡ the "*" spec) and is cached per
-    (partition, epoch) in _EXPANSION_CACHE."""
+    are a slice of the resident term dictionary (about 30 us for a 100-term
+    prefix), so they are not cached. A fuzzy/regexp spec derives from the
+    field's whole dictionary (≡ the "*" spec, an edit-distance sweep or a
+    regex pass) and is kept in the resident partition's ``expansions``."""
     from .filters import fuzzy_value, range_term_bounds, regexp_value
 
     rx = regexp_value(v)
@@ -661,8 +556,8 @@ def expand_spec(index_dir: str, part: int, epoch: float, field: str,
             lo, hi, lo_inc, hi_inc = bounds
             return read_term_between(index_dir, part, field, lo, hi, lo_inc, hi_inc)
         return read_term_range(index_dir, part, field, v[:-1])
-    ck = (index_dir, part, epoch, field, v)
-    hit = _EXPANSION_CACHE.get(ck)
+    pt = partition(index_dir, part)
+    hit = pt.expansions.get((field, v))
     if hit is None:
         cands = read_term_range(index_dir, part, field, "")
         if fz is not None:
@@ -679,9 +574,7 @@ def expand_spec(index_dir: str, part: int, epoch: float, field: str,
             hit = [t for t, ok in zip(cands, m) if ok]
         else:
             hit = []
-        if len(_EXPANSION_CACHE) > _EXPANSION_CACHE_CAP:
-            _EXPANSION_CACHE.clear()
-        _EXPANSION_CACHE[ck] = hit
+        pt.remember(pt.expansions, (field, v), hit)
     return hit
 
 
@@ -757,7 +650,7 @@ def search_partition(
                 or min_score is not None:
             raise ValueError("group_by composes with ranked scorers only "
                              "(no collapse/match/after/serial report)")
-    manifest = _cached_manifest(index_dir, part)
+    manifest = partition(index_dir, part).manifest
     n_docs = manifest["metrics"]["n_docs"]
     avg_dl = manifest["metrics"].get("avg_dl") or (
         manifest["metrics"]["total_tokens"] / max(1, n_docs)
@@ -1103,6 +996,18 @@ def _merge_two(merged: list[Hit], cur: list[Hit], k: int) -> list[Hit]:
     return out
 
 
+def _merge_hits(merged: list[Hit], hits: list[Hit], k: int,
+                collapse: str | None = None) -> list[Hit]:
+    """Fold the next partition's hits (in walk order) into the running
+    answer: the first non-empty answer is taken as it is, the rest go
+    through the ordered two-pointer merge (deduping collapse keys)."""
+    if not merged:
+        return hits[:k]
+    if collapse is not None:
+        return _merge_collapse_two(merged, hits, k, collapse)
+    return _merge_two(merged, hits, k)
+
+
 def _merge_collapse_two(merged: list[Hit], cur: list[Hit], k: int, key: str) -> list[Hit]:
     """The ordered two-pointer merge with collapse-key dedup: the
     better-ordered occurrence of a key wins and later ones are skipped
@@ -1133,17 +1038,17 @@ def _merge_collapse_two(merged: list[Hit], cur: list[Hit], k: int, key: str) -> 
 
 class PartitionSearcher:
     """Ray actor owning a fixed slice of partitions — the reference's
-    reader-node partition context (MiruLocalHostedPartition): forward
-    tables, manifests and hot postings stay resident in the actor between
-    queries. One call answers the asked owned partitions serially (they are
-    few); actors run in parallel."""
+    reader-node partition context (MiruLocalHostedPartition): its resident
+    ``segments.Partition`` objects (manifest, forward columns, term
+    dictionary, hot postings) stay in the actor between queries. One call
+    answers the asked owned partitions serially (they are few); actors run
+    in parallel."""
 
     def __init__(self, index_dir: str, parts: list[int]):
         self.index_dir = index_dir
-        for p in parts:  # warm forward + manifest
+        for p in parts:  # warm manifest + forward columns
             try:
-                _cached_manifest(index_dir, p)
-                forward_columns(index_dir, p)
+                partition(index_dir, p).forward
             except Exception:  # noqa: BLE001 — a broken partition fails over at ask time
                 pass
 
@@ -1248,10 +1153,10 @@ class SearchEngine:
         or whose manifest is unreadable on the primary (a vanished
         partition dir): the partition then stays active and fails over to
         a replica at ask time instead of crashing the prune walk."""
-        m = _cached_manifest(self.index_dir, part)
+        m = partition(self.index_dir, part).manifest
         if m is None:
             for rep in self.replicas:
-                m = _cached_manifest(rep, part)
+                m = partition(rep, part).manifest
                 if m is not None:
                     break
         if m is None:
@@ -1346,20 +1251,11 @@ class SearchEngine:
         if scoring == "time" and k > 0 and len(active) > 1 and early_exit:
             return self._time_walk(kwargs, parallel, active, k)
         self.last_parts_asked = len(active)
-        results = self._fan_out(search_partition, kwargs, parallel, parts=active)
         merged: list[Hit] = []
         found = 0
-        first = True
-        for r in results:  # already in partition walk order
-            hits = _hits_of(r)
+        for r in self._fan_out(search_partition, kwargs, parallel, parts=active):
+            merged = _merge_hits(merged, _hits_of(r), k, collapse)  # walk order
             found += r["found"]
-            if first:
-                merged = hits[:k]
-                first = False
-            elif collapse is not None:
-                merged = _merge_collapse_two(merged, hits, k, collapse)
-            else:
-                merged = _merge_two(merged, hits, k)
         return merged, found
 
     def _time_walk(
@@ -1390,20 +1286,12 @@ class SearchEngine:
         collapse = kwargs.get("collapse")
         merged: list[Hit] = []
         found = 0
-        first = True
         asked = 0
         for w0 in range(0, len(active), wave):
             chunk = active[w0 : w0 + wave]
             for r in self._fan_out(search_partition, kwargs, parallel, parts=chunk):
-                hits = _hits_of(r)
+                merged = _merge_hits(merged, _hits_of(r), k, collapse)
                 found += r["found"]
-                if first:
-                    merged = hits[:k]
-                    first = False
-                elif collapse is not None:
-                    merged = _merge_collapse_two(merged, hits, k, collapse)
-                else:
-                    merged = _merge_two(merged, hits, k)
             asked += len(chunk)
             last = w0 + len(chunk) - 1
             if len(merged) >= k and merged[k - 1].ts > rest_max[last]:
@@ -1463,9 +1351,8 @@ class SearchEngine:
                 kw["min_score"] = report[1]
                 kw["below_min"] = max(0, k - report[0])
             r = self._ask_serial(search_partition, p, kw)
-            hits = _hits_of(r)
+            merged = _merge_hits(merged, _hits_of(r), k)
             found += r["found"]
-            merged = hits[:k] if report is None else _merge_two(merged, hits, k)
             report = (
                 len(merged),
                 min((h.score for h in merged), default=float("inf")),
@@ -1540,10 +1427,8 @@ class SearchEngine:
             for g, h in zip(r["group"], hits):
                 by.setdefault(g, []).append(h)
             for kv, lst in by.items():
-                cur = per_key.get(kv)
-                if cur is None:
-                    continue
-                per_key[kv] = lst[:per_group] if not cur else _merge_two(cur, lst, per_group)
+                if kv in per_key:
+                    per_key[kv] = _merge_hits(per_key[kv], lst, per_group)
         return [(kv, per_key[kv]) for kv in key_order], found
 
     def match(
@@ -1632,7 +1517,7 @@ class SearchEngine:
         reader inspect UIs, MiruManage): global build config + totals +
         per-partition metrics, all from manifests (no posting reads)."""
         per_part = {
-            p: dict(_cached_manifest(self.index_dir, p).get("metrics", {}))
+            p: dict(partition(self.index_dir, p).manifest.get("metrics", {}))
             for p in self.parts
         }
         return {
@@ -1696,8 +1581,8 @@ class SearchEngine:
         analogue): dictionary terms within Levenshtein distance
         ``max_dist`` of the analyzed ``term``, ranked by (global df desc,
         distance asc, term asc) — Lucene's docFreq-then-score order.
-        Expansion reuses the per-partition fuzzy machinery (the epoch-keyed
-        expansion cache + vectorized DP); df sums across partitions, so
+        Expansion reuses the per-partition fuzzy machinery (the resident
+        partition's expansion cache + vectorized DP); df sums across partitions, so
         the rank reflects the whole corpus. The exact term itself (distance
         0) is included when indexed — callers drop it for pure correction.
         Interactive API: partitions are read serially; the df read takes
@@ -1746,8 +1631,7 @@ class SearchEngine:
         from .segments import read_term_dfs
 
         def one(d: str, part: int) -> dict:
-            epoch = manifest_epoch(d, part)
-            terms = expand_spec(d, part, epoch, field, spec)
+            terms = expand_spec(d, part, field, spec)
             return read_term_dfs(d, part, [field + FIELD_SEP + t for t in terms])
 
         df: dict[str, int] = {}

@@ -13,10 +13,7 @@ because segments are immutable (SURVEY.md §1.3):
       part=00042/
         postings.parquet           # one row per term_key: RUNS_SCHEMA (delta+varbyte
                                    #   blocks + block-max metadata + df/ttf/max_tf),
-                                   #   sorted by term_key in row groups of 1024; readers
-                                   #   look terms up in the resident term dictionary
-                                   #   (TermDictionary) and read only the groups that
-                                   #   hold them
+                                   #   sorted by term_key in row groups of 1024
         forward.parquet            # doc_id, conv_id, turn_idx, role, tool, ts(us), dl
                                    #   (the activity/forward index + time index +
                                    #   doc-length table, MiruActivityIndex.java:16-135)
@@ -28,6 +25,12 @@ Term keys are ``"<field>\\x1f<term>"`` — the analogue of the reference's
 ``(fieldId, term)`` composite index key (LabFieldIndex.java:82-92).
 A build that finds a complete ``_MANIFEST.json`` for a partition skips it
 (resumable restarts with per-partition lineage, BASELINE.json north_star).
+
+Only this module knows the layout. Readers go through ``partition(index_dir,
+part)``: one resident ``Partition`` per partition at its manifest epoch,
+holding the manifest, the term dictionary, the forward columns and the
+per-partition query caches (see "resident partitions" below). ``index.json``
+is read through ``read_global_manifest`` or its memo ``index_meta``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import os
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -236,29 +240,59 @@ def read_global_manifest(index_dir: str) -> dict:
     return meta
 
 
-# ------------------------------------------------------------- segment reads
+_INDEX_META: dict[str, tuple[float, dict]] = {}
+
+
+def index_meta(index_dir: str) -> dict:
+    """``index.json``, memoised per index dir at its mtime: extend and
+    repair keep the analyzer, but an in-place rebuild may change it.
+    Callers must not mutate the returned dict."""
+    key = os.path.abspath(index_dir)
+    mtime = os.path.getmtime(os.path.join(index_dir, "index.json"))
+    hit = _INDEX_META.get(key)
+    if hit is None or hit[0] != mtime:
+        hit = _INDEX_META[key] = (mtime, read_global_manifest(index_dir))
+    return hit[1]
+
+
+# ------------------------------------------------------- resident partitions
 #
-# Every term-keyed read of a partition goes through its resident term
-# dictionary: one open ``pq.ParquetFile`` for ``postings.parquet``, the
-# sorted ``term`` column as a numpy array and the cumulative row counts of
-# the row groups. A lookup is a ``searchsorted``; a read decodes only the
-# row groups that hold the rows it needs, from that same handle, so a
-# ``postings.parquet`` replaced by extend, repair or compact can never pair
-# one file's dictionary with another file's rows. The reference keeps its
-# term dictionary resident the same way (LAB leap cache).
+# Every read of a partition goes through its resident ``Partition``: one
+# object per (abs index_dir, part) at its manifest epoch, the manifest's
+# mtime. Extend, repair and compact write the manifest last, so the epoch
+# moves whenever ``postings.parquet`` or ``forward.parquet`` is replaced.
+# ``partition()`` stats the manifest once per call and replaces the whole
+# object when the epoch moves, so nothing of a superseded epoch stays
+# resident: the reference's per-partition context, rebuilt whole when the
+# partition changes (MiruContextFactory). A Partition holds
+#   * the manifest (None when absent or incomplete: a vanished primary in
+#     replica mode is then asked, and fails over, without re-reading);
+#   * the term dictionary and the forward columns, loaded on first use;
+#   * the query caches: decoded postings (search.PostingSource's entries),
+#     fuzzy/regexp expansions and authz masks.
+# The decoded postings of all partitions share one process-wide LRU bounded
+# at _POSTING_CACHE_CAP entries; expansions and authz masks are bounded per
+# partition; at most _PARTITIONS_CAP partitions stay resident (LRU), each
+# with one open ``postings.parquet`` handle once its dictionary is loaded.
 
 
 class TermDictionary:
-    """One partition's resident term dictionary (see the section comment).
+    """One partition's term dictionary: one open ``pq.ParquetFile`` for
+    ``postings.parquet``, the sorted ``term`` column as a numpy array and
+    the cumulative row counts of the row groups. A lookup is a
+    ``searchsorted``; a read decodes only the row groups that hold the rows
+    it needs, from that same handle, so a ``postings.parquet`` replaced by
+    extend, repair or compact can never pair one file's dictionary with
+    another file's rows. The reference keeps its term dictionary resident
+    the same way (LAB leap cache).
 
     ``terms`` is sorted by code point, which is the UTF-8 byte order the
     build sorts ``postings.parquet`` by, so ``np.searchsorted`` over it
     agrees with the file. Reads on the shared handle take ``_lock``:
     ``FederatedEngine`` asks partitions from threads."""
 
-    def __init__(self, path: str, epoch: float):
+    def __init__(self, path: str):
         self.path = path
-        self.epoch = epoch
         self._pf = pq.ParquetFile(path)
         md = self._pf.metadata
         sizes = np.array([md.row_group(i).num_rows for i in range(md.num_row_groups)],
@@ -318,45 +352,144 @@ class TermDictionary:
                 + sum(sys.getsizeof(t) for t in self.terms))
 
 
-# (abs index_dir, part) → that partition's dictionary at its current epoch;
-# insertion order is recency (LRU, like the posting cache)
-_TERM_DICTS: dict[tuple[str, int], TermDictionary] = {}
-_TERM_DICTS_CAP = 512
-_TERM_DICTS_LOCK = threading.Lock()
+_PARTITIONS: "OrderedDict[tuple[str, int], Partition]" = OrderedDict()
+_PARTITIONS_CAP = 512
+# (partition, term key) in recency order; the entries live in Partition.postings
+_POSTING_LRU: "OrderedDict[tuple[Partition, str], None]" = OrderedDict()
+_POSTING_CACHE_CAP = 200_000
+_QUERY_CACHE_CAP = 256  # expansions and authz masks, each, per partition
+_LOCK = threading.Lock()  # guards the registry, the LRU and the query caches
+
+
+class Partition:
+    """One partition at one manifest epoch (see the section comment)."""
+
+    def __init__(self, index_dir: str, part: int, epoch: float):
+        self.key = (os.path.abspath(index_dir), part)
+        self.dir = part_dir(index_dir, part)
+        self.epoch = epoch
+        self.manifest = read_manifest(index_dir, part)
+        self.postings: dict[str, tuple | None] = {}  # term key -> entry, None: absent
+        self.expansions: dict[tuple[str, str], list[str]] = {}  # (field, spec) -> terms
+        self.authz: dict[tuple, np.ndarray] = {}  # (field, values) -> allowed docIds
+        self._dictionary: TermDictionary | None = None
+        self._forward: dict | None = None
+        self._load = threading.Lock()
+
+    @property
+    def dictionary(self) -> TermDictionary:
+        with self._load:
+            if self._dictionary is None:
+                self._dictionary = TermDictionary(os.path.join(self.dir, "postings.parquet"))
+        return self._dictionary
+
+    @property
+    def forward(self) -> dict:
+        """The forward columns the query path gathers from (the Strut-style
+        per-worker cache pattern, StrutModelCache.java:104-140)."""
+        with self._load:
+            if self._forward is None:
+                t = self.forward_table()
+                self._forward = {c: t[c].to_numpy() for c in ("ts", "dl", "turn_idx")}
+                self._forward.update({c: t[c].combine_chunks() for c in ("conv_id", "role", "tool")})
+                self._forward["n_docs"] = t.num_rows
+        return self._forward
+
+    def forward_table(self) -> pa.Table:
+        """The whole forward table in docId order, read from disk."""
+        return pq.read_table(os.path.join(self.dir, "forward.parquet"))
+
+    def postings_table(self) -> pa.Table:
+        """Every posting row in term order, read from disk."""
+        return pq.read_table(os.path.join(self.dir, "postings.parquet"))
+
+    def cached_postings(self, keys) -> tuple[dict, list[str]]:
+        """(cached entries of ``keys``, the keys not cached); a hit becomes
+        the most recently used entry."""
+        hits, misses = {}, []
+        with _LOCK:
+            for k in keys:
+                if k in self.postings:
+                    _POSTING_LRU.move_to_end((self, k))
+                    hits[k] = self.postings[k]
+                else:
+                    misses.append(k)
+        return hits, misses
+
+    def cache_postings(self, entries: dict) -> None:
+        """Store decoded entries, first evicting the least recently used
+        entries of any partition to stay within the cap (all of them when
+        ``entries`` alone exceeds it). A superseded partition stores none."""
+        with _LOCK:
+            if _PARTITIONS.get(self.key) is not self:
+                return
+            while _POSTING_LRU and len(_POSTING_LRU) + len(entries) > _POSTING_CACHE_CAP:
+                (pt, k), _ = _POSTING_LRU.popitem(last=False)
+                del pt.postings[k]
+            for k, v in entries.items():
+                self.postings[k] = v
+                _POSTING_LRU[(self, k)] = None
+
+    def update_posting(self, key: str, entry: tuple) -> None:
+        """Replace a cached entry in place (no recency change)."""
+        with _LOCK:
+            if key in self.postings:
+                self.postings[key] = entry
+
+    def remember(self, cache: dict, key, value):
+        """Put ``value`` in ``expansions`` or ``authz``, dropping the oldest
+        entry past the cap; returns ``value``."""
+        with _LOCK:
+            if len(cache) >= _QUERY_CACHE_CAP:
+                cache.pop(next(iter(cache)))
+            cache[key] = value
+        return value
+
+    def nbytes(self) -> int:
+        """Resident bytes of the term dictionary and the forward columns, as
+        far as they are loaded (the query caches are not counted)."""
+        fwd = [v for v in (self._forward or {}).values() if hasattr(v, "nbytes")]
+        return (self._dictionary.nbytes() if self._dictionary else 0) + sum(v.nbytes for v in fwd)
 
 
 def manifest_epoch(index_dir: str, part: int) -> float:
-    """A partition's cache epoch: its manifest's mtime (-1.0 when absent).
-    extend, repair and compact rewrite the manifest, so the epoch moves
-    whenever ``postings.parquet`` or ``forward.parquet`` is replaced."""
+    """A partition's epoch: its manifest's mtime (-1.0 when absent)."""
     try:
         return os.path.getmtime(manifest_path(index_dir, part))
     except OSError:
         return -1.0
 
 
-def term_dictionary(index_dir: str, part: int) -> TermDictionary:
-    """The partition's resident dictionary, loaded on first use and again
-    when its manifest epoch moves; the superseded one is dropped, so at most
-    one stays resident per (index_dir, part)."""
+def _forget(pt: Partition) -> None:
+    """Drop ``pt`` from the registry and its postings from the LRU (under
+    _LOCK)."""
+    if _PARTITIONS.get(pt.key) is pt:
+        del _PARTITIONS[pt.key]
+    for k in pt.postings:
+        _POSTING_LRU.pop((pt, k), None)
+    pt.postings.clear()
+
+
+def partition(index_dir: str, part: int) -> Partition:
+    """The resident partition at its current manifest epoch, replaced whole
+    when the epoch has moved."""
     key = (os.path.abspath(index_dir), part)
     epoch = manifest_epoch(index_dir, part)
-    with _TERM_DICTS_LOCK:
-        td = _TERM_DICTS.pop(key, None)
-        if td is not None and td.epoch == epoch:
-            _TERM_DICTS[key] = td  # touch: most recent
-            return td
-    td = TermDictionary(os.path.join(part_dir(index_dir, part), "postings.parquet"), epoch)
-    with _TERM_DICTS_LOCK:
-        _TERM_DICTS[key] = td
-        while len(_TERM_DICTS) > _TERM_DICTS_CAP:
-            _TERM_DICTS.pop(next(iter(_TERM_DICTS)))
-    return td
+    with _LOCK:
+        pt = _PARTITIONS.get(key)
+        if pt is None or pt.epoch != epoch:
+            if pt is not None:
+                _forget(pt)
+            pt = _PARTITIONS[key] = Partition(index_dir, part, epoch)
+            while len(_PARTITIONS) > _PARTITIONS_CAP:
+                _forget(next(iter(_PARTITIONS.values())))
+        _PARTITIONS.move_to_end(key)
+        return pt
 
 
 def read_postings_for_terms(index_dir: str, part: int, keys: list[str]) -> pa.Table:
     """The posting rows for ``keys`` in term order (absent keys have none)."""
-    td = term_dictionary(index_dir, part)
+    td = partition(index_dir, part).dictionary
     return td.read(td.find(keys))
 
 
@@ -364,7 +497,7 @@ def read_term_dfs(index_dir: str, part: int, keys: list[str]) -> dict[str, int]:
     """term_key → df for ``keys``: the term and df columns only. The
     suggester's read path: document frequency without touching posting
     bytes."""
-    td = term_dictionary(index_dir, part)
+    td = partition(index_dir, part).dictionary
     t = td.read(td.find(keys), ["term", "df"])
     return dict(zip(t["term"].to_pylist(), (int(x) for x in t["df"].to_pylist())))
 
@@ -391,10 +524,15 @@ def read_term_between(
     MiruTermComposer.java:130-145,265-280)."""
     lo_key = term_key(field, lo if lo is not None else "")
     hi_key = term_key(field, hi) if hi is not None else term_key(field, "") + "\U0010ffff"
-    td = term_dictionary(index_dir, part)
+    td = partition(index_dir, part).dictionary
     i, j = td.span(lo_key, hi_key, lo_inc, hi_inc)
     sep_len = len(field) + 1
     return [k[sep_len:] for k in td.terms[i:j].tolist()]
+
+
+def forward_columns(index_dir: str, part: int) -> dict:
+    """The partition's resident forward columns."""
+    return partition(index_dir, part).forward
 
 
 def remove_docs(index_dir: str, keys: list[tuple[str, int]]) -> dict[int, int]:
@@ -455,9 +593,10 @@ def _resolve_doc_ids(index_dir: str, keys: list[tuple[str, int]]) -> dict[int, n
         by_part.setdefault(fnv1a64_str(conv) % n_parts, set()).add((conv, int(turn)))
     out: dict[int, np.ndarray] = {}
     for part, want in sorted(by_part.items()):
-        if read_manifest(index_dir, part) is None:
+        pt = partition(index_dir, part)
+        if pt.manifest is None:
             continue
-        f = read_forward_table(index_dir, part)
+        f = pt.forward_table()
         fwd_keys = _pack_keys(f["conv_id"], f["turn_idx"])
         want_keys = pa.array([f"{c}\x1f{t}" for c, t in sorted(want)], pa.string())
         mask = pc.is_in(fwd_keys, value_set=want_keys).to_numpy(zero_copy_only=False)
@@ -547,44 +686,4 @@ def read_tombstones(index_dir: str, part: int) -> np.ndarray:
         if len(_TOMBSTONE_CACHE) > 4096:
             _TOMBSTONE_CACHE.clear()
         _TOMBSTONE_CACHE[key] = hit
-    return hit
-
-
-def read_forward_table(index_dir: str, part: int) -> pa.Table:
-    """The full forward table of a partition in docId order, either layout
-    (single ``forward.parquet`` or streaming-build fragments)."""
-    d = part_dir(index_dir, part)
-    single = os.path.join(d, "forward.parquet")
-    if os.path.exists(single):
-        return pq.read_table(single)
-    frags = sorted(f for f in os.listdir(d) if f.startswith("forward-"))
-    return pa.concat_tables([pq.read_table(os.path.join(d, f)) for f in frags]).combine_chunks()
-
-
-_FORWARD_CACHE: dict[tuple, dict[str, np.ndarray | pa.Array]] = {}
-
-
-def forward_columns(index_dir: str, part: int) -> dict:
-    """Forward-table columns for a partition, cached per worker process (the
-    Strut-style per-worker cache pattern, StrutModelCache.java:104-140).
-
-    Supports both layouts: a single ``forward.parquet`` (sort-based build)
-    or ``forward-<frag>.parquet`` fragments in docId order (streaming build)."""
-    d = part_dir(index_dir, part)
-    key = (os.path.abspath(d), os.path.getmtime(manifest_path(index_dir, part)))
-    hit = _FORWARD_CACHE.get(key)
-    if hit is None:
-        t = read_forward_table(index_dir, part)
-        hit = {
-            "ts": t["ts"].to_numpy(),
-            "dl": t["dl"].to_numpy(),
-            "conv_id": t["conv_id"].combine_chunks(),
-            "turn_idx": t["turn_idx"].to_numpy(),
-            "role": t["role"].combine_chunks(),
-            "tool": t["tool"].combine_chunks(),
-            "n_docs": t.num_rows,
-        }
-        if len(_FORWARD_CACHE) > 64:
-            _FORWARD_CACHE.clear()
-        _FORWARD_CACHE[key] = hit
     return hit

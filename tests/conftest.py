@@ -65,6 +65,19 @@ def tiny_oracle(tiny_rows):
     return build_oracle_partitions(tiny_rows, n_parts=4)
 
 
+@pytest.fixture()
+def drop_resident():
+    """Call to drop every resident partition and its cached postings, as a
+    fresh process would start (segments.partition reloads on next use)."""
+    import miru_ray.segments as SG
+
+    def drop():
+        SG._PARTITIONS.clear()
+        SG._POSTING_LRU.clear()
+
+    return drop
+
+
 @pytest.fixture(scope="session")
 def inprocess_build():
     """The streaming build's phases run in this process (no Ray Data job):

@@ -160,7 +160,7 @@ def test_audit_clean_through_lifecycle(ray_session, tiny_transcripts_dir, tmp_pa
 
     from miru_ray.audit import audit_index
     from miru_ray.build import build_index, compact_index, extend_index, repair_partitions
-    from miru_ray.segments import read_forward_table, remove_docs
+    from miru_ray.segments import partition, remove_docs
 
     t = pa.concat_tables(
         [pq.read_table(f) for f in sorted(glob.glob(tiny_transcripts_dir + "/*.parquet"))]
@@ -178,7 +178,7 @@ def test_audit_clean_through_lifecycle(ray_session, tiny_transcripts_dir, tmp_pa
     extend_index(src2, idx)
     assert audit_index(idx, sample_terms=50)["ok"]
 
-    fwd = read_forward_table(idx, 0)
+    fwd = partition(idx, 0).forward_table()
     keys = [
         (fwd["conv_id"][0].as_py(), int(fwd["turn_idx"][0].as_py())),
         (fwd["conv_id"][1].as_py(), int(fwd["turn_idx"][1].as_py())),

@@ -15,7 +15,7 @@ from miru_ray.build import build_index
 from miru_ray.codec import decode_posting
 from miru_ray.oracle import oracle_search
 from miru_ray.search import Hit, SearchEngine, search_partition
-from miru_ray.segments import FIELD_SEP, completed_parts, read_forward_table, read_manifest
+from miru_ray.segments import FIELD_SEP, completed_parts, partition, read_manifest
 
 N_PARTS = 4
 
@@ -107,7 +107,7 @@ def test_per_turn_text_equality(index_dir, tiny_rows, tiny_oracle):
     turn_idx) → original text row, under stable ordering."""
     by_key = {(r["conv_id"], r["turn_idx"]): r for r in tiny_rows}
     for p in completed_parts(index_dir):
-        f = read_forward_table(index_dir, p)
+        f = partition(index_dir, p).forward_table()
         d = f.to_pydict()
         assert d["doc_id"] == list(range(f.num_rows))
         keys = list(zip(d["conv_id"], d["turn_idx"]))
@@ -211,7 +211,7 @@ def assert_same_decoded_index(a: str, b: str) -> None:
     set and decoded (doc, tf) streams — block layout may differ."""
     assert completed_parts(a) == completed_parts(b)
     for p in completed_parts(a):
-        assert read_forward_table(a, p).equals(read_forward_table(b, p)), p
+        assert partition(a, p).forward_table().equals(partition(b, p).forward_table()), p
         pa_ = pq.read_table(os.path.join(a, f"part={p:05d}", "postings.parquet"))
         pb = pq.read_table(os.path.join(b, f"part={p:05d}", "postings.parquet"))
         assert pa_["term"].to_pylist() == pb["term"].to_pylist(), p
@@ -498,7 +498,7 @@ def test_extend_index_append_epoch(ray_session, tiny_transcripts_dir, tmp_path_f
         a = decoded(os.path.join(index_dir, f"part={p:05d}", "postings.parquet"))
         b = decoded(os.path.join(d, f"part={p:05d}", "postings.parquet"))
         assert a == b, p
-        assert read_forward_table(index_dir, p).equals(read_forward_table(d, p)), p
+        assert partition(index_dir, p).forward_table().equals(partition(d, p).forward_table()), p
     # idempotent re-extend: all partitions skip
     meta2 = extend_index(second_dir, d)
     assert meta2["epochs"][-1]["parts_updated"] == []
@@ -568,7 +568,8 @@ def _oracle_rows(opart):
     ]
 
 
-def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_factory, tiny_oracle):
+def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_factory, tiny_oracle,
+                                drop_resident):
     """Lazy-tf postings: with LAZY_TF_BLOCKS lowered so core terms qualify,
     results stay rank-identical while fewer tf bytes are decoded than
     stored (the block-partial decode path)."""
@@ -591,7 +592,7 @@ def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_fact
         for q in ("t1 t7", "t1 OR t2 OR t3", "t1 t2 t3 t4 t5"):
             for scoring in ("ref_tfidf", "bm25"):
                 # fresh caches per query so decoded/total compare like-for-like
-                S._POSTING_CACHE.clear()
+                drop_resident()
                 S.DECODE_STATS.update(tf_bytes_total=0, tf_bytes_decoded=0)
                 hits, found = eng.search(q, k=10, scoring=scoring, parallel=False)
                 ohits, ofound = oracle_search(oracle1, q, k=10, scoring=scoring)
@@ -610,7 +611,7 @@ def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_fact
         assert all(s <= 1.0 + 1e-9 for s in savings), savings
         # filter-only evaluation never touches tf bytes at all with lazy
         # postings: the doc-side decode is sufficient for set algebra
-        S._POSTING_CACHE.clear()
+        drop_resident()
         S.DECODE_STATS.update(tf_bytes_total=0, tf_bytes_decoded=0)
         res = eng.match("t1", parallel=False)
         assert sum(len(r["doc_id"]) for r in res) > 0
@@ -618,7 +619,7 @@ def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_fact
         assert S.DECODE_STATS["tf_bytes_decoded"] == 0, S.DECODE_STATS
     finally:
         S.LAZY_TF_BLOCKS = old
-        S._POSTING_CACHE.clear()
+        drop_resident()
 
 
 def test_authz_mask_rank_identity(engine, tiny_oracle):
@@ -636,8 +637,6 @@ def test_authz_mask_rank_identity(engine, tiny_oracle):
             _assert_rank_identical(hits, ohits)
     # match path also masks
     m = engine.match("t1", authz=("role", ["user"]))
-    import miru_ray.search as S
-
     fwd_roles = {}
     for r in m:
         p = r["part"]
@@ -646,9 +645,13 @@ def test_authz_mask_rank_identity(engine, tiny_oracle):
         roles = forward_columns(engine.index_dir, p)["role"]
         for doc in r["doc_id"]:
             assert roles[int(doc)].as_py() == "user"
-    # the cache holds composed masks (serial path → driver-process cache)
+    # the resident partitions hold composed masks (serial path → the
+    # driver process's partitions)
+    import miru_ray.segments as SG
+
     engine.search("t1", k=5, authz=("role", ["user"]), parallel=False)
-    assert any(k[3] == "role" for k in S._AUTHZ_CACHE)
+    assert any(("role", ("user",)) in SG.partition(engine.index_dir, p).authz
+               for p in engine.parts)
 
 
 def test_repair_preserves_tombstones_and_streams(ray_session, tiny_transcripts_dir, tiny_rows, tmp_path_factory):
@@ -684,6 +687,8 @@ def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
     once, and bumping a partition's manifest epoch (what extend/repair do)
     reloads only that partition and drops its superseded entry. Results
     identical throughout."""
+    from collections import OrderedDict
+
     import miru_ray.segments as SG
     from miru_ray.segments import manifest_path
 
@@ -691,16 +696,17 @@ def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
     real = SG.TermDictionary
 
     class Counting(real):
-        def __init__(self, path, epoch):
+        def __init__(self, path):
             loads.append(path)
-            super().__init__(path, epoch)
+            super().__init__(path)
 
     monkeypatch.setattr(SG, "TermDictionary", Counting)
-    monkeypatch.setattr(SG, "_TERM_DICTS", {})
+    monkeypatch.setattr(SG, "_PARTITIONS", OrderedDict())
+    monkeypatch.setattr(SG, "_POSTING_LRU", OrderedDict())
     hits1, found1 = engine.search("w004*", k=15, parallel=False)
     assert found1 > 0
     assert len(loads) == N_PARTS and len(set(loads)) == N_PARTS  # one load each
-    resident = dict(SG._TERM_DICTS)
+    resident = dict(SG._PARTITIONS)
     assert len(resident) == N_PARTS
     hits2, found2 = engine.search("w004*", k=15, parallel=False)
     assert len(loads) == N_PARTS  # every partition served from its resident dictionary
@@ -713,10 +719,10 @@ def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
     hits3, found3 = engine.search("w004*", k=15, parallel=False)
     assert len(loads) == N_PARTS + 1 and loads[-1] == os.path.join(
         SG.part_dir(index_dir, 0), "postings.parquet")
-    assert set(SG._TERM_DICTS) == set(resident)  # still one per partition
-    for key, td in SG._TERM_DICTS.items():
-        assert (td is resident[key]) == (key[1] != 0), key
-    assert SG._TERM_DICTS[(os.path.abspath(index_dir), 0)].epoch == os.path.getmtime(mp)
+    assert set(SG._PARTITIONS) == set(resident)  # still one per partition
+    for key, pt in SG._PARTITIONS.items():
+        assert (pt is resident[key]) == (key[1] != 0), key
+    assert SG._PARTITIONS[(os.path.abspath(index_dir), 0)].epoch == os.path.getmtime(mp)
     assert found3 == found1
     assert [(h.doc_id, h.part) for h in hits3] == [(h.doc_id, h.part) for h in hits1]
 
@@ -1042,19 +1048,18 @@ def test_sip_watch_path_spelling_invariance(ray_session, tiny_transcripts_dir, t
 
 
 def test_posting_cache_lru_handles_oversized_miss_set(
-    ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir, monkeypatch
+    ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir, monkeypatch, drop_resident
 ):
     """Review regression: a single PostingSource whose miss set exceeds the
     cache cap must not crash the eviction loop."""
-    from miru_ray import search as S
+    from miru_ray import segments as SG
     from miru_ray.search import PostingSource
-    from miru_ray.segments import read_manifest
 
-    monkeypatch.setattr(S, "_POSTING_CACHE_CAP", 2)
-    S._POSTING_CACHE.clear()
+    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 2)
+    drop_resident()
     src = PostingSource(index_dir, 0, [("text", w) for w in ("t1", "t2", "t3", "t7", "w00042")], 0)
     assert len(src.docs("text", "t1")) > 0
-    assert len(S._POSTING_CACHE) <= 2 + 5  # bounded, no StopIteration
+    assert len(SG._POSTING_LRU) <= 2 + 5  # bounded, no StopIteration
 
 
 def test_sip_watch_backoff_on_persistent_failure(

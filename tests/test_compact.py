@@ -12,6 +12,7 @@ import pyarrow.parquet as pq
 
 from miru_ray.build import build_index, compact_index, extend_index
 from miru_ray.search import SearchEngine
+from miru_ray.segments import read_global_manifest, read_manifest
 
 N_PARTS = 4
 
@@ -77,6 +78,11 @@ def test_compact_extended_equals_oneshot(ray_session, tiny_transcripts_dir, tmp_
     assert _postings_bytes(ext) == _postings_bytes(one)
     for p in range(N_PARTS):
         assert _decoded(ext, p) == _decoded(one, p)
+    # the manifests and index.json totals record the compacted postings
+    # (byte counts included), so they agree as the bytes do
+    for p in range(N_PARTS):
+        assert read_manifest(ext, p)["metrics"] == read_manifest(one, p)["metrics"], p
+    assert read_global_manifest(ext)["totals"] == read_global_manifest(one)["totals"]
 
     # idempotent
     again = str(tmp_path_factory.mktemp("unused"))  # noqa: F841 (naming parity)
@@ -98,11 +104,11 @@ def test_compact_extended_equals_oneshot(ray_session, tiny_transcripts_dir, tmp_
 def test_compact_positions_and_tombstones(ray_session, tiny_transcripts_dir, tmp_path_factory):
     """Positional occurrence streams survive compaction (phrase answers
     unchanged); tombstones are preserved."""
-    from miru_ray.segments import read_forward_table, read_tombstones, remove_docs
+    from miru_ray.segments import partition, read_tombstones, remove_docs
 
     d = str(tmp_path_factory.mktemp("cmp_pos"))
     build_index(tiny_transcripts_dir, d, n_parts=N_PARTS, positions=True)
-    f = read_forward_table(d, 0)
+    f = partition(d, 0).forward_table()
     key = (f["conv_id"][0].as_py(), f["turn_idx"][0].as_py())
     remove_docs(d, [key])
     eng = SearchEngine(d)

@@ -1,6 +1,7 @@
-"""_POSTING_CACHE LRU semantics (VERDICT r5 #9): eviction order, touch
-on hit, negative entries, and epoch-keyed invalidation — cache bugs here
-are silent rank corruptions, so each behavior is pinned."""
+"""Decoded-posting cache semantics (VERDICT r5 #9): the process-wide LRU
+over the resident partitions' entries (eviction order, touch on hit),
+negative entries, and epoch invalidation — cache bugs here are silent rank
+corruptions, so each behavior is pinned."""
 
 import os
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from miru_ray import search as S
+from miru_ray import segments as SG
 from miru_ray.build import build_index
 from miru_ray.search import PostingSource
 from miru_ray.segments import FIELD_SEP, manifest_path
@@ -22,12 +24,12 @@ def idx1(ray_session, tiny_transcripts_dir, tmp_path_factory):
 
 
 def _keys():
-    return [k[3].split(FIELD_SEP, 1)[1] for k in S._POSTING_CACHE]
+    return [k.split(FIELD_SEP, 1)[1] for _, k in SG._POSTING_LRU]
 
 
-def test_lru_eviction_order_and_touch(idx1, monkeypatch):
-    S._POSTING_CACHE.clear()
-    monkeypatch.setattr(S, "_POSTING_CACHE_CAP", 4)
+def test_lru_eviction_order_and_touch(idx1, monkeypatch, drop_resident):
+    drop_resident()
+    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 4)
 
     PostingSource(idx1, 0, [("text", "t1"), ("text", "t2")], 0)
     PostingSource(idx1, 0, [("text", "t3"), ("text", "t4")], 0)
@@ -43,14 +45,14 @@ def test_lru_eviction_order_and_touch(idx1, monkeypatch):
     assert _keys() == ["t4", "t1", "t5", "t6"]
 
 
-def test_negative_entries_cached_and_lru(idx1, monkeypatch):
-    S._POSTING_CACHE.clear()
-    monkeypatch.setattr(S, "_POSTING_CACHE_CAP", 4)
+def test_negative_entries_cached_and_lru(idx1, monkeypatch, drop_resident):
+    drop_resident()
+    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 4)
 
     src = PostingSource(idx1, 0, [("text", "zz_absent_term")], 0)
     assert ("text", "zz_absent_term") not in src.df
-    key = next(iter(S._POSTING_CACHE))
-    assert S._POSTING_CACHE[key] is None  # negative entry stored
+    pt, key = next(iter(SG._POSTING_LRU))
+    assert pt.postings[key] is None  # negative entry stored
 
     # a second ask is a HIT: no storage read
     calls = {"n": 0}
@@ -66,15 +68,16 @@ def test_negative_entries_cached_and_lru(idx1, monkeypatch):
     assert calls["n"] == 0
 
 
-def test_epoch_bump_invalidates_without_serving_stale(idx1, monkeypatch):
-    """Entries are keyed by the partition manifest's mtime: after a
-    mutation bumps it, a warm process must RE-READ postings under the new
-    epoch rather than serve the pre-mutation arrays — even while old-epoch
-    entries still sit in the cache (they are dead weight, never hits)."""
-    S._POSTING_CACHE.clear()
+def test_epoch_bump_invalidates_without_serving_stale(idx1, monkeypatch, drop_resident):
+    """Entries live in the partition at its manifest epoch (the manifest's
+    mtime): after a mutation bumps it, a warm process must RE-READ postings
+    under the new epoch rather than serve the pre-mutation arrays, and the
+    old epoch's entries leave the cache with their partition."""
+    drop_resident()
     src = PostingSource(idx1, 0, [("text", "t1")], 0)
     df_before = src.df[("text", "t1")]
-    n_before = len(S._POSTING_CACHE)
+    n_before = len(SG._POSTING_LRU)
+    old = SG.partition(idx1, 0)
 
     # simulate extend/repair: the manifest mtime moves forward
     mp = manifest_path(idx1, 0)
@@ -92,7 +95,11 @@ def test_epoch_bump_invalidates_without_serving_stale(idx1, monkeypatch):
     src2 = PostingSource(idx1, 0, [("text", "t1")], 0)
     assert calls["n"] == 1  # old-epoch entry was NOT served
     assert src2.df[("text", "t1")] == df_before
-    assert len(S._POSTING_CACHE) == n_before + 1  # both epochs resident
+    new = SG.partition(idx1, 0)
+    assert new is not old and list(SG._PARTITIONS.values()) == [new]
+    # nothing of the old epoch stays resident
+    assert len(SG._POSTING_LRU) == n_before and not old.postings
+    assert all(pt is new for pt, _ in SG._POSTING_LRU)
 
 
 def _per_row_reference(t, i, lazy):
@@ -128,19 +135,19 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("lazy_blocks", [S.LAZY_TF_BLOCKS, 2])
-def test_column_unpacking_matches_per_row(idx1, monkeypatch, lazy_blocks):
+def test_column_unpacking_matches_per_row(idx1, monkeypatch, lazy_blocks, drop_resident):
     """PostingSource converts each column once per read; the cache entries
     (docs, tfs, ttf, df, blocks — eager and lazy-tf) and the negative
     entries equal a scalar-by-scalar unpacking of the same rows."""
-    from miru_ray.segments import read_postings_for_terms, term_dictionary
+    from miru_ray.segments import read_postings_for_terms
 
-    S._POSTING_CACHE.clear()
+    drop_resident()
     monkeypatch.setattr(S, "LAZY_TF_BLOCKS", lazy_blocks)
-    terms = [k.split(FIELD_SEP, 1) for k in term_dictionary(idx1, 0).terms.tolist()]
+    terms = [k.split(FIELD_SEP, 1) for k in SG.partition(idx1, 0).dictionary.terms.tolist()]
     specs = [tuple(ft) for ft in terms[::11]] + [("text", "zz_absent_term")]
     PostingSource(idx1, 0, specs, 0)
     t = read_postings_for_terms(idx1, 0, [f + FIELD_SEP + v for f, v in specs])
-    cached = {k[3]: v for k, v in S._POSTING_CACHE.items()}
+    cached = dict(SG.partition(idx1, 0).postings)
     assert len(cached) == len(specs) and t.num_rows == len(specs) - 1
     n_lazy = 0
     for i in range(t.num_rows):

@@ -84,7 +84,7 @@ def test_schema_version_bumps_with_history(two_indexes, tiny_transcripts_dir, tm
     assert rec["schema"]["tokenizer"]["stem"] == "porter2"
 
 
-def test_registry_replica_failover(two_indexes, tmp_path_factory):
+def test_registry_replica_failover(two_indexes, tmp_path_factory, drop_resident):
     """engine_for wires replicas through: corrupting a primary partition
     still yields the full federated answer via the replica."""
     i1, i2 = two_indexes
@@ -99,9 +99,7 @@ def test_registry_replica_failover(two_indexes, tmp_path_factory):
     want = reg.engine_for("ha").search("t1 t7", k=10, scoring="bm25")[1]
     with open(os.path.join(part_dir(p1, 0), "postings.parquet"), "wb") as f:
         f.write(b"garbage")
-    from miru_ray import search as S
-
-    S._POSTING_CACHE.clear()
+    drop_resident()
     got = reg.engine_for("ha").search("t1 t7", k=10, scoring="bm25", parallel=False)[1]
     assert got == want
 

@@ -126,7 +126,7 @@ def test_sync_recovers_crashed_swap(src_idx, tmp_path_factory):
     assert _answers(dst) == _answers(src_idx)
 
 
-def test_replica_failover_corrupt_partition(src_idx, tmp_path_factory):
+def test_replica_failover_corrupt_partition(src_idx, tmp_path_factory, drop_resident):
     """Replica-aware failover (MiruLowestLatencySolver.java:50-205 analogue,
     failure-triggered): with one primary partition's postings corrupted,
     a replica-configured engine still returns rank-identical answers; the
@@ -139,9 +139,8 @@ def test_replica_failover_corrupt_partition(src_idx, tmp_path_factory):
     victim = os.path.join(part_dir(src_idx, 1), "postings.parquet")
     with open(victim, "wb") as f:
         f.write(b"not a parquet file")
-    # invalidate any process-level caches keyed by mtime/path
-    from miru_ray import search as S
-    S._POSTING_CACHE.clear()
+    # drop the resident partitions (the corruption keeps the manifest epoch)
+    drop_resident()
 
     broken = SearchEngine(src_idx)
     with pytest.raises(Exception):
@@ -174,7 +173,8 @@ def test_replica_failover_missing_partition(src_idx, tmp_path_factory):
     assert found_naked < found
 
 
-def test_replica_failover_time_range_and_serial_and_suggest(src_idx, tmp_path_factory):
+def test_replica_failover_time_range_and_serial_and_suggest(src_idx, tmp_path_factory,
+                                                          drop_resident):
     """Review regressions: a vanished primary partition must not crash the
     zone-map prune walk (time_range), the serial solver, or the suggest
     df walk — all fail over to the replica."""
@@ -187,9 +187,7 @@ def test_replica_failover_time_range_and_serial_and_suggest(src_idx, tmp_path_fa
     want_suggest = ref.suggest("t1", k=5)
 
     shutil.rmtree(part_dir(src_idx, 1))
-    from miru_ray import search as S
-    S._POSTING_CACHE.clear()
-    S._MANIFEST_CACHE.clear()
+    drop_resident()
 
     eng = SearchEngine(src_idx, replicas=[rep])
     got_tr = eng.search("t1", k=10, scoring="bm25", time_range=tr, parallel=False)
@@ -206,7 +204,7 @@ def test_replica_failover_time_range_and_serial_and_suggest(src_idx, tmp_path_fa
 
 
 def test_replica_failover_extend_opened_partition(
-    ray_session, tiny_transcripts_dir, tmp_path_factory
+    ray_session, tiny_transcripts_dir, tmp_path_factory, drop_resident
 ):
     """A partition opened by an extend epoch (range rollover) is part of
     the expected set too: losing its dir on the primary fails over instead
@@ -238,20 +236,16 @@ def test_replica_failover_extend_opened_partition(
     sync_index(idx, rep)
     ref_found = SearchEngine(idx).count("t1")
     shutil.rmtree(part_dir(idx, opened[-1]))
-    from miru_ray import search as S
-    S._POSTING_CACHE.clear()
-    S._MANIFEST_CACHE.clear()
+    drop_resident()
     eng = SearchEngine(idx, replicas=[rep])
     assert opened[-1] in eng.parts
     assert eng.count("t1") == ref_found
 
 
-def test_manifest_negative_cache(src_idx, monkeypatch):
+def test_manifest_negative_cache(src_idx, monkeypatch, drop_resident):
     """ADVICE r4: a missing partition manifest caches as None and counts
     as a HIT — the old .get(key) retrieval re-read the missing file on
     every _ts_bounds call in replica mode."""
-    from miru_ray import search as S
-
     calls = {"n": 0}
     from miru_ray import segments as seg
 
@@ -262,11 +256,11 @@ def test_manifest_negative_cache(src_idx, monkeypatch):
         return orig(index_dir, part)
 
     monkeypatch.setattr(seg, "read_manifest", counting)
-    S._MANIFEST_CACHE.clear()
+    drop_resident()
     # part 99 does not exist: first call reads (miss), second must hit
-    assert S._cached_manifest(src_idx, 99) is None
+    assert seg.partition(src_idx, 99).manifest is None
     first = calls["n"]
-    assert S._cached_manifest(src_idx, 99) is None
+    assert seg.partition(src_idx, 99).manifest is None
     assert calls["n"] == first  # cached None treated as a hit
 
 
@@ -343,12 +337,11 @@ def test_latency_samples_exclude_failover(src_idx, tmp_path_factory, monkeypatch
     assert max(eng._lat) < 0.2
 
 
-def test_plugin_failover_corrupt_partition(src_idx, tmp_path_factory):
+def test_plugin_failover_corrupt_partition(src_idx, tmp_path_factory, drop_resident):
     """Plugins run on the engine's fan-out, so they fail over too: with a
     corrupt primary partition, distincts on a replica-configured engine
     answers like the fault-free engine."""
     from miru_ray import plugins
-    from miru_ray import search as S
 
     rep = str(tmp_path_factory.mktemp("plugin_rep"))
     sync_index(src_idx, rep)
@@ -358,7 +351,7 @@ def test_plugin_failover_corrupt_partition(src_idx, tmp_path_factory):
     victim = os.path.join(part_dir(src_idx, 1), "postings.parquet")
     with open(victim, "wb") as f:
         f.write(b"not a parquet file")
-    S._POSTING_CACHE.clear()
+    drop_resident()
 
     with pytest.raises(Exception):
         plugins.distincts(SearchEngine(src_idx), "text", prefix="t", query="t1")

@@ -1,4 +1,5 @@
-"""The resident term dictionary (segments.TermDictionary) against the
+"""The resident term dictionary (segments.TermDictionary, held by each
+resident segments.Partition) against the
 ``pyarrow.dataset`` filter reads it replaced: the same rows for every key
 set and term range, on a built index and on a hand-written
 ``postings.parquet`` whose terms crowd the row-group boundaries, the
@@ -19,8 +20,8 @@ import miru_ray.segments as SG
 from miru_ray.build import build_index
 from miru_ray.plugins import _postings_meta, term_dfs_partition
 from miru_ray.segments import (
-    FIELD_SEP, part_dir, read_postings_for_terms, read_term_between,
-    read_term_dfs, read_term_range, term_dictionary,
+    FIELD_SEP, part_dir, partition, read_postings_for_terms, read_term_between,
+    read_term_dfs, read_term_range,
 )
 
 RG = 1024  # the build's row-group size
@@ -128,7 +129,7 @@ def test_exact_reads_match_dataset_filter(which, request):
         d, _ = request.getfixturevalue("handwritten")
         parts = [0]
     for part in parts:
-        terms = term_dictionary(d, part).terms.tolist()
+        terms = partition(d, part).dictionary.terms.tolist()
         assert terms == sorted(terms) and len(terms) > RG
         rng = random.Random(part)
         cases = [
@@ -215,7 +216,7 @@ def test_between_bounds_match_dataset_filter(built, handwritten):
 
 
 def test_term_dfs_partition_matches_dataset_filter(built):
-    terms = [t[5:] for t in term_dictionary(built, 0).terms.tolist()
+    terms = [t[5:] for t in partition(built, 0).dictionary.terms.tolist()
              if t.startswith("text" + FIELD_SEP)]
     ask = terms[::7] + ["zz_absent"]
     want = ref_rows(built, 0, ["text" + FIELD_SEP + t for t in ask], ["term", "df"])
@@ -238,12 +239,12 @@ def test_rows_come_from_the_dictionarys_own_file(handwritten, tmp_path):
     shutil.copytree(src, d)
     keys = terms[RG - 2:RG + 2]
     before = read_postings_for_terms(d, 0, keys)
-    td = term_dictionary(d, 0)
+    td = partition(d, 0).dictionary
     path = os.path.join(part_dir(d, 0), "postings.parquet")
     other = pq.read_table(path).slice(RG // 2)
     pq.write_table(other, path + ".tmp", row_group_size=RG // 4)
     os.replace(path + ".tmp", path)
-    assert term_dictionary(d, 0) is td  # same epoch: still resident
+    assert partition(d, 0).dictionary is td  # same epoch: still resident
     assert read_postings_for_terms(d, 0, keys).equals(before)
 
     td.terms = np.roll(td.terms, 1)  # a dictionary out of step with its rows
@@ -253,13 +254,16 @@ def test_rows_come_from_the_dictionarys_own_file(handwritten, tmp_path):
 
 def test_concurrent_reads_from_threads(built):
     """More reader threads than cores, a short switch interval, and a thread
-    moving partition 0's epoch under them: every read returns the reference
-    rows, and one dictionary per (index_dir, part) stays resident."""
+    moving partition 0's epoch under them: every read, and every decoded
+    posting the shared cache serves, matches the reference rows; one
+    partition per (index_dir, part) stays resident, and no cached posting of
+    a superseded partition stays in the LRU."""
     import sys
 
+    from miru_ray.search import PostingSource
     from miru_ray.segments import manifest_path
 
-    terms = term_dictionary(built, 0).terms.tolist()
+    terms = partition(built, 0).dictionary.terms.tolist()
     sets = [random.Random(i).sample(terms, 25) for i in range(8)]
     want = [ref_rows(built, 0, ks) for ks in sets]
     errors = []
@@ -272,6 +276,10 @@ def test_concurrent_reads_from_threads(built):
                     k = (i + j) % len(sets)
                     if not read_postings_for_terms(built, 0, sets[k]).equals(want[k]):
                         errors.append(k)
+                    src = PostingSource(built, 0, [tuple(t.split(FIELD_SEP, 1))
+                                                   for t in sets[k]], 0)
+                    if sorted(src.df.values()) != sorted(want[k]["df"].to_pylist()):
+                        errors.append(("cache", k))
         except Exception as e:  # noqa: BLE001 — reported below
             errors.append(e)
 
@@ -297,6 +305,7 @@ def test_concurrent_reads_from_threads(built):
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads + [epoch])
     assert not errors, errors[:3]
-    assert [k for k in SG._TERM_DICTS if k == (os.path.abspath(built), 0)] == [
+    assert [k for k in SG._PARTITIONS if k == (os.path.abspath(built), 0)] == [
         (os.path.abspath(built), 0)]
-    assert term_dictionary(built, 0).epoch == os.path.getmtime(manifest_path(built, 0))
+    assert all(SG._PARTITIONS.get(pt.key) is pt for pt, _ in SG._POSTING_LRU)
+    assert partition(built, 0).epoch == os.path.getmtime(manifest_path(built, 0))

@@ -1,6 +1,9 @@
 """Posting read cost per partition: the ``pyarrow.dataset`` + ``isin``
-filter read against the resident term dictionary (segments.TermDictionary),
-for the same key sets, plus the dictionary's load time and resident bytes.
+filter read against the resident partition's term dictionary
+(``segments.partition(index_dir, part).dictionary``), for the same key
+sets, plus the dictionary's load time and the partition's resident bytes:
+its term dictionary and its forward columns, which the query path loads
+too.
 
     python tools/posting_read_bench.py INDEX_DIR [--sets 20] [--keys 2]
                                        [--reps 3] [--seed 0] [--field text]
@@ -39,11 +42,13 @@ def bench_partition(index_dir: str, part: int, args) -> dict:
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    from miru_ray.segments import FIELD_SEP, TermDictionary, manifest_epoch, part_dir
+    from miru_ray.segments import FIELD_SEP, Partition, manifest_epoch, part_dir, partition
 
     path = os.path.join(part_dir(index_dir, part), "postings.parquet")
     epoch = manifest_epoch(index_dir, part)
-    load_s, td = _best(lambda: TermDictionary(path, epoch), args.reps)
+    load_s, _ = _best(lambda: Partition(index_dir, part, epoch).dictionary, args.reps)
+    pt = partition(index_dir, part)
+    td = pt.dictionary
     pre = args.field + FIELD_SEP
     i, j = td.span(pre, pre + "\U0010ffff")
     pool = td.terms[i:j].tolist()
@@ -66,6 +71,7 @@ def bench_partition(index_dir: str, part: int, args) -> dict:
         old_ms.append(dt_old * 1e3)
         new_ms.append(dt_new * 1e3)
     arrow_bytes = pq.read_table(path, columns=["term"]).column("term").nbytes
+    pt.forward  # noqa: B018 — load the forward columns, as a query does
     return {
         "part": part,
         "terms": len(td.terms),
@@ -73,7 +79,8 @@ def bench_partition(index_dir: str, part: int, args) -> dict:
         "load_ms": load_s * 1e3,
         "dataset_read_ms": statistics.median(old_ms),
         "resident_read_ms": statistics.median(new_ms),
-        "resident_bytes": td.nbytes(),
+        "resident_bytes": pt.nbytes(),
+        "dictionary_bytes": td.nbytes(),
         "arrow_term_bytes": arrow_bytes,
     }
 
@@ -95,13 +102,15 @@ def main(argv=None) -> int:
         print(f"{args.index_dir}: no complete partitions", file=sys.stderr)
         return 2
     rows = []
-    print("part  terms  rgs  load_ms  dataset_ms  resident_ms  resident_B  arrow_term_B")
+    print("part  terms  rgs  load_ms  dataset_ms  resident_ms  resident_B  dictionary_B"
+          "  arrow_term_B")
     for p in parts:
         r = bench_partition(args.index_dir, p, args)
         rows.append(r)
         print(f"{p:4d} {r['terms']:6d} {r['row_groups']:4d} {r['load_ms']:8.2f} "
               f"{r['dataset_read_ms']:11.2f} {r['resident_read_ms']:12.3f} "
-              f"{r['resident_bytes']:11d} {r['arrow_term_bytes']:13d}", flush=True)
+              f"{r['resident_bytes']:11d} {r['dictionary_bytes']:13d} "
+              f"{r['arrow_term_bytes']:13d}", flush=True)
     summary = {
         "index_dir": os.path.abspath(args.index_dir),
         "parts": len(rows),
@@ -109,6 +118,7 @@ def main(argv=None) -> int:
         "sets_per_part": args.sets,
         "terms": sum(r["terms"] for r in rows),
         "resident_bytes": sum(r["resident_bytes"] for r in rows),
+        "dictionary_bytes": sum(r["dictionary_bytes"] for r in rows),
         "arrow_term_bytes": sum(r["arrow_term_bytes"] for r in rows),
         "load_ms_total": sum(r["load_ms"] for r in rows),
         "load_ms_median": statistics.median(r["load_ms"] for r in rows),

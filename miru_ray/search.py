@@ -229,7 +229,7 @@ class PostingSource:
         self.df: dict[tuple[str, str], int] = {}
         self.blocks: dict[tuple[str, str], dict[str, np.ndarray]] = {}
         self._pt = partition(index_dir, part)
-        hits, misses = self._pt.cached_postings(sorted(keys))
+        hits, misses = self._pt.cached("postings", sorted(keys))
         for k, hit in hits.items():
             if hit is not None:
                 self._put(k, hit)
@@ -266,7 +266,7 @@ class PostingSource:
                     blocks["count_cum"] = np.cumsum(blk_count)
                 entries[key_str] = (docs, tfs, ttfs[i], dfs[i], blocks)
                 self._put(key_str, entries[key_str])
-            self._pt.cache_postings(entries)
+            self._pt.cache("postings", entries)
 
     def _put(self, key_str: str, entry: tuple) -> None:
         field_term = tuple(key_str.split(FIELD_SEP, 1))
@@ -526,16 +526,18 @@ def authz_mask(index_dir: str, part: int, authz: tuple[str, tuple[str, ...]],
     the union of the values' postings (a doc is visible iff it carries at
     least one allowed label — the reference's composite authz bitmap,
     MiruAuthzIndex.java). The mask is kept in the resident partition and
-    reused until the partition changes (MiruAuthzCache.java)."""
+    reused until the partition changes (MiruAuthzCache.java); the masks of
+    all partitions share one process-wide LRU of 1,024."""
     field, values = authz
     pt = partition(index_dir, part)
     key = (field, tuple(sorted(values)))
-    hit = pt.authz.get(key)
+    hit = pt.cached("authz", [key])[0].get(key)
     if hit is None:
         src = PostingSource(index_dir, part, [(field, v) for v in values], 0)
         arrs = [src.docs(field, v) for v in values]
         arrs = [a for a in arrs if len(a)]
-        hit = pt.remember(pt.authz, key, np.unique(np.concatenate(arrs)) if arrs else _EMPTY)
+        hit = np.unique(np.concatenate(arrs)) if arrs else _EMPTY
+        pt.cache("authz", {key: hit})
     return hit
 
 
@@ -545,7 +547,8 @@ def expand_spec(index_dir: str, part: int, field: str, v: str) -> list[str]:
     are a slice of the resident term dictionary (about 30 us for a 100-term
     prefix), so they are not cached. A fuzzy/regexp spec derives from the
     field's whole dictionary (≡ the "*" spec, an edit-distance sweep or a
-    regex pass) and is kept in the resident partition's ``expansions``."""
+    regex pass) and is kept in the resident partition's ``expansions``, one
+    process-wide LRU of 50,000 expansions across partitions."""
     from .filters import fuzzy_value, range_term_bounds, regexp_value
 
     rx = regexp_value(v)
@@ -557,7 +560,7 @@ def expand_spec(index_dir: str, part: int, field: str, v: str) -> list[str]:
             return read_term_between(index_dir, part, field, lo, hi, lo_inc, hi_inc)
         return read_term_range(index_dir, part, field, v[:-1])
     pt = partition(index_dir, part)
-    hit = pt.expansions.get((field, v))
+    hit = pt.cached("expansions", [(field, v)])[0].get((field, v))
     if hit is None:
         cands = read_term_range(index_dir, part, field, "")
         if fz is not None:
@@ -574,7 +577,7 @@ def expand_spec(index_dir: str, part: int, field: str, v: str) -> list[str]:
             hit = [t for t, ok in zip(cands, m) if ok]
         else:
             hit = []
-        pt.remember(pt.expansions, (field, v), hit)
+        pt.cache("expansions", {(field, v): hit})
     return hit
 
 

@@ -209,6 +209,10 @@ def finalize_segment(
         f.flush()
         os.fsync(f.fileno())
     os.replace(mp + ".tmp", mp)
+    with _LOCK:
+        pt = _PARTITIONS.get((os.path.abspath(index_dir), part))
+        if pt is not None:
+            _forget(pt)
     _fire_lifecycle("commit", index_dir, part)
     return manifest
 
@@ -270,10 +274,12 @@ def index_meta(index_dir: str) -> dict:
 #   * the term dictionary and the forward columns, loaded on first use;
 #   * the query caches: decoded postings (search.PostingSource's entries),
 #     fuzzy/regexp expansions and authz masks.
-# The decoded postings of all partitions share one process-wide LRU bounded
-# at _POSTING_CACHE_CAP entries; expansions and authz masks are bounded per
-# partition; at most _PARTITIONS_CAP partitions stay resident (LRU), each
-# with one open ``postings.parquet`` handle once its dictionary is loaded.
+# Each kind of query cache is one process-wide LRU across partitions
+# (``_Lru``): 200,000 decoded postings, 50,000 expansions, 1,024 authz
+# masks. At most _PARTITIONS_CAP partitions stay resident (LRU), each with
+# one open ``postings.parquet`` handle once its dictionary is loaded.
+# ``finalize_segment`` drops the partition it supersedes in its own process,
+# so a rewrite inside one mtime tick is not served from the old epoch.
 
 
 class TermDictionary:
@@ -352,13 +358,29 @@ class TermDictionary:
                 + sum(sys.getsizeof(t) for t in self.terms))
 
 
+class _Lru(OrderedDict):
+    """One kind of per-partition cache, bounded across all partitions: the
+    (partition, key) pairs in recency order, at most ``cap`` of them; the
+    values live in each partition's ``attr`` dict. Callers hold _LOCK."""
+
+    def __init__(self, attr: str, cap: int):
+        super().__init__()
+        self.attr, self.cap = attr, cap
+
+    def drop(self, pt: "Partition") -> None:
+        cache = getattr(pt, self.attr)
+        for k in cache:
+            self.pop((pt, k), None)
+        cache.clear()
+
+
 _PARTITIONS: "OrderedDict[tuple[str, int], Partition]" = OrderedDict()
 _PARTITIONS_CAP = 512
-# (partition, term key) in recency order; the entries live in Partition.postings
-_POSTING_LRU: "OrderedDict[tuple[Partition, str], None]" = OrderedDict()
-_POSTING_CACHE_CAP = 200_000
-_QUERY_CACHE_CAP = 256  # expansions and authz masks, each, per partition
-_LOCK = threading.Lock()  # guards the registry, the LRU and the query caches
+_POSTING_LRU = _Lru("postings", 200_000)
+_EXPANSION_LRU = _Lru("expansions", 50_000)
+_AUTHZ_LRU = _Lru("authz", 1_024)
+_LRUS = {lru.attr: lru for lru in (_POSTING_LRU, _EXPANSION_LRU, _AUTHZ_LRU)}
+_LOCK = threading.Lock()  # guards the registry and the LRUs
 
 
 class Partition:
@@ -403,47 +425,42 @@ class Partition:
         """Every posting row in term order, read from disk."""
         return pq.read_table(os.path.join(self.dir, "postings.parquet"))
 
-    def cached_postings(self, keys) -> tuple[dict, list[str]]:
-        """(cached entries of ``keys``, the keys not cached); a hit becomes
-        the most recently used entry."""
-        hits, misses = {}, []
+    def cached(self, cache: str, keys) -> tuple[dict, list]:
+        """``(hits, misses)`` of ``keys`` in ``cache`` ("postings",
+        "expansions" or "authz"); a hit becomes the most recently used entry
+        of its kind."""
+        lru, hits, misses = _LRUS[cache], {}, []
+        values = getattr(self, cache)
         with _LOCK:
             for k in keys:
-                if k in self.postings:
-                    _POSTING_LRU.move_to_end((self, k))
-                    hits[k] = self.postings[k]
+                if k in values:
+                    lru.move_to_end((self, k))
+                    hits[k] = values[k]
                 else:
                     misses.append(k)
         return hits, misses
 
-    def cache_postings(self, entries: dict) -> None:
-        """Store decoded entries, first evicting the least recently used
-        entries of any partition to stay within the cap (all of them when
-        ``entries`` alone exceeds it). A superseded partition stores none."""
+    def cache(self, cache: str, entries: dict) -> None:
+        """Store ``entries`` in ``cache``, first evicting the least recently
+        used entries of that kind, of any partition, to stay within its cap
+        (all of them when ``entries`` alone exceeds it). A superseded
+        partition stores none."""
+        lru, values = _LRUS[cache], getattr(self, cache)
         with _LOCK:
             if _PARTITIONS.get(self.key) is not self:
                 return
-            while _POSTING_LRU and len(_POSTING_LRU) + len(entries) > _POSTING_CACHE_CAP:
-                (pt, k), _ = _POSTING_LRU.popitem(last=False)
-                del pt.postings[k]
+            while lru and len(lru) + len(entries) > lru.cap:
+                (pt, k), _ = lru.popitem(last=False)
+                del getattr(pt, cache)[k]
             for k, v in entries.items():
-                self.postings[k] = v
-                _POSTING_LRU[(self, k)] = None
+                values[k] = v
+                lru[(self, k)] = None
 
     def update_posting(self, key: str, entry: tuple) -> None:
-        """Replace a cached entry in place (no recency change)."""
+        """Replace a cached posting entry in place (no recency change)."""
         with _LOCK:
             if key in self.postings:
                 self.postings[key] = entry
-
-    def remember(self, cache: dict, key, value):
-        """Put ``value`` in ``expansions`` or ``authz``, dropping the oldest
-        entry past the cap; returns ``value``."""
-        with _LOCK:
-            if len(cache) >= _QUERY_CACHE_CAP:
-                cache.pop(next(iter(cache)))
-            cache[key] = value
-        return value
 
     def nbytes(self) -> int:
         """Resident bytes of the term dictionary and the forward columns, as
@@ -461,30 +478,37 @@ def manifest_epoch(index_dir: str, part: int) -> float:
 
 
 def _forget(pt: Partition) -> None:
-    """Drop ``pt`` from the registry and its postings from the LRU (under
+    """Drop ``pt`` from the registry and its entries from the LRUs (under
     _LOCK)."""
     if _PARTITIONS.get(pt.key) is pt:
         del _PARTITIONS[pt.key]
-    for k in pt.postings:
-        _POSTING_LRU.pop((pt, k), None)
-    pt.postings.clear()
+    for lru in _LRUS.values():
+        lru.drop(pt)
 
 
 def partition(index_dir: str, part: int) -> Partition:
     """The resident partition at its current manifest epoch, replaced whole
-    when the epoch has moved."""
+    when the epoch has moved. The manifest is read outside the lock; of two
+    threads that load the same epoch, the first to register wins."""
     key = (os.path.abspath(index_dir), part)
     epoch = manifest_epoch(index_dir, part)
     with _LOCK:
         pt = _PARTITIONS.get(key)
-        if pt is None or pt.epoch != epoch:
-            if pt is not None:
-                _forget(pt)
-            pt = _PARTITIONS[key] = Partition(index_dir, part, epoch)
-            while len(_PARTITIONS) > _PARTITIONS_CAP:
-                _forget(next(iter(_PARTITIONS.values())))
-        _PARTITIONS.move_to_end(key)
-        return pt
+        if pt is not None and pt.epoch == epoch:
+            _PARTITIONS.move_to_end(key)
+            return pt
+    new = Partition(index_dir, part, epoch)
+    with _LOCK:
+        pt = _PARTITIONS.get(key)
+        if pt is not None and pt.epoch == epoch:
+            _PARTITIONS.move_to_end(key)
+            return pt
+        if pt is not None:
+            _forget(pt)
+        _PARTITIONS[key] = new
+        while len(_PARTITIONS) > _PARTITIONS_CAP:
+            _forget(next(iter(_PARTITIONS.values())))
+        return new
 
 
 def read_postings_for_terms(index_dir: str, part: int, keys: list[str]) -> pa.Table:

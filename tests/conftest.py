@@ -67,13 +67,14 @@ def tiny_oracle(tiny_rows):
 
 @pytest.fixture()
 def drop_resident():
-    """Call to drop every resident partition and its cached postings, as a
+    """Call to drop every resident partition and its cached entries, as a
     fresh process would start (segments.partition reloads on next use)."""
     import miru_ray.segments as SG
 
     def drop():
         SG._PARTITIONS.clear()
-        SG._POSTING_LRU.clear()
+        for lru in SG._LRUS.values():
+            lru.clear()
 
     return drop
 

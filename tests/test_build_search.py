@@ -681,14 +681,12 @@ def test_repair_preserves_tombstones_and_streams(ray_session, tiny_transcripts_d
         assert read_stream_set(d, p, "unread", "s1").tolist() == before_unread[p], p
 
 
-def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
+def test_wildcard_expansion_cache(engine, index_dir, monkeypatch, drop_resident):
     """Prefix expansion is a slice of each partition's resident term
     dictionary: a repeated prefix query loads each partition's dictionary
     once, and bumping a partition's manifest epoch (what extend/repair do)
     reloads only that partition and drops its superseded entry. Results
     identical throughout."""
-    from collections import OrderedDict
-
     import miru_ray.segments as SG
     from miru_ray.segments import manifest_path
 
@@ -701,8 +699,7 @@ def test_wildcard_expansion_cache(engine, index_dir, monkeypatch):
             super().__init__(path)
 
     monkeypatch.setattr(SG, "TermDictionary", Counting)
-    monkeypatch.setattr(SG, "_PARTITIONS", OrderedDict())
-    monkeypatch.setattr(SG, "_POSTING_LRU", OrderedDict())
+    drop_resident()
     hits1, found1 = engine.search("w004*", k=15, parallel=False)
     assert found1 > 0
     assert len(loads) == N_PARTS and len(set(loads)) == N_PARTS  # one load each
@@ -1055,7 +1052,7 @@ def test_posting_cache_lru_handles_oversized_miss_set(
     from miru_ray import segments as SG
     from miru_ray.search import PostingSource
 
-    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 2)
+    monkeypatch.setattr(SG._POSTING_LRU, "cap", 2)
     drop_resident()
     src = PostingSource(index_dir, 0, [("text", w) for w in ("t1", "t2", "t3", "t7", "w00042")], 0)
     assert len(src.docs("text", "t1")) > 0

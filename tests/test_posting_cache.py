@@ -29,7 +29,7 @@ def _keys():
 
 def test_lru_eviction_order_and_touch(idx1, monkeypatch, drop_resident):
     drop_resident()
-    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 4)
+    monkeypatch.setattr(SG._POSTING_LRU, "cap", 4)
 
     PostingSource(idx1, 0, [("text", "t1"), ("text", "t2")], 0)
     PostingSource(idx1, 0, [("text", "t3"), ("text", "t4")], 0)
@@ -47,7 +47,7 @@ def test_lru_eviction_order_and_touch(idx1, monkeypatch, drop_resident):
 
 def test_negative_entries_cached_and_lru(idx1, monkeypatch, drop_resident):
     drop_resident()
-    monkeypatch.setattr(SG, "_POSTING_CACHE_CAP", 4)
+    monkeypatch.setattr(SG._POSTING_LRU, "cap", 4)
 
     src = PostingSource(idx1, 0, [("text", "zz_absent_term")], 0)
     assert ("text", "zz_absent_term") not in src.df

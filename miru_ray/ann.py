@@ -853,33 +853,9 @@ def mmr_rerank_docs(
     FullText.java:99-220's scorer shape with Robertson idf), then greedy
     MMR against the documents' embedding vectors. Returns (doc_id, score
     = the BM25 relevance rounded 1e-6, rank = 1-based selection order)."""
-    import math
+    from .hybrid import bm25_candidates
 
-    from .search import PostingSource
-    from .segments import partition
-    from .transcripts import ensure_index
-
-    index_dir = ensure_index(sf_dir, 1)
-    pt = partition(index_dir, 0)
-    man = pt.manifest
-    n_docs = man["metrics"]["n_docs"]
-    avgdl = man["metrics"]["total_tokens"] / n_docs
-    src = PostingSource(index_dir, 0, [("text", w) for w in terms], 0)
-    answer = None
-    for w in terms:
-        d = src.docs("text", w)
-        answer = d if answer is None else np.intersect1d(d, answer, assume_unique=True)
-    dl = pt.forward["dl"][answer].astype(np.float64)
-    knorm = 1.2 * (0.25 + 0.75 * (dl / avgdl))
-    score = np.zeros(len(answer), dtype=np.float64)
-    for w in terms:
-        df = src.df[("text", w)]
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        docs = src.docs("text", w)
-        tf = src.tfs("text", w)[np.searchsorted(docs, answer)].astype(np.float64)
-        score = score + idf * (tf / (tf + knorm))
-    cand = np.lexsort((-answer, -score))[:n_candidates]
-    cand_ids, cand_rel = answer[cand], score[cand]
+    cand_ids, cand_rel = bm25_candidates(sf_dir, terms, n_candidates)
     vecs = load_embeddings_for(sf_dir, cand_ids)
     sel = mmr_select(cand_ids, cand_rel, vecs, k, lam=lam, mu=mu)
     return pa.table(

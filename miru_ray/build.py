@@ -746,19 +746,16 @@ class FileIndexer:
                 goff = int(batch["goff"][i].as_py())
                 r, f = self._one_file(batch["path"][i].as_py(), fidx, None, goff)
             else:
-                if self._bases is not None:
-                    # CSR slice → per-file scratch vector. Stale entries from
-                    # a previous file are never read: _one_file only indexes
-                    # bases[p] for partitions THIS file's rows hash to, which
-                    # are exactly the cols just written.
-                    ip = self._bases["indptr"]
-                    lo, hi = int(ip[fidx]), int(ip[fidx + 1])
-                    if self._scratch is None or len(self._scratch) != self.n_parts:
-                        self._scratch = np.zeros(self.n_parts, dtype=np.int64)
-                    bases = self._scratch
-                    bases[self._bases["cols"][lo:hi]] = self._bases["vals"][lo:hi]
-                else:
-                    bases = np.asarray(batch["bases"][i].as_py(), dtype=np.int64)
+                # CSR slice → per-file scratch vector. Stale entries from a
+                # previous file are never read: _one_file only indexes
+                # bases[p] for partitions THIS file's rows hash to, which are
+                # exactly the cols just written.
+                ip = self._bases["indptr"]
+                lo, hi = int(ip[fidx]), int(ip[fidx + 1])
+                if self._scratch is None or len(self._scratch) != self.n_parts:
+                    self._scratch = np.zeros(self.n_parts, dtype=np.int64)
+                bases = self._scratch
+                bases[self._bases["cols"][lo:hi]] = self._bases["vals"][lo:hi]
                 r, f = self._one_file(batch["path"][i].as_py(), fidx, bases)
             runs.extend(r)
             fwds.extend(f)

@@ -87,16 +87,16 @@ RUNS_SCHEMA = pa.schema(
 # The VALUE-STREAM codec turns a stream of non-negative ints (doc deltas,
 # tfs) into bytes; everything above the byte payload — the run/block
 # structure, block-max metadata, per-block byte-end offsets, and the
-# offset-subsampling merge — does not depend on it. The codec is two
+# offset-subsampling merge — does not depend on it. There is one codec,
+# varbyte (delta+LEB128, ~1 byte/doc on dense postings), and it is two
 # functions:
 #
-#   encode(values:int64[n]) -> (bytes:uint8[total], ends:int64[n])
-#   decode(buf:uint8[total]) -> uint64[n]
+#   varbyte_encode(values:int64[n]) -> (bytes:uint8[total], ends:int64[n])
+#   varbyte_decode(buf:uint8[total]) -> uint64[n]
 #
 # ``ends`` (cumulative byte length after each value) is what the block
 # byte-end offsets are derived from, so partial decode slices a block
-# range's bytes without decoding the rest. There is one codec, VARBYTE:
-# delta+LEB128, ~1 byte/doc on dense postings. index.json records it as
+# range's bytes without decoding the rest. index.json records the codec as
 # ``"codec": "varbyte"`` (segments.POSTING_CODEC); an index naming any
 # other codec refuses to open.
 
@@ -158,15 +158,6 @@ def varbyte_decode(buf: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, starts)
 
 
-class VarByteCodec:
-    name = "varbyte"
-    encode = staticmethod(varbyte_encode)
-    decode = staticmethod(varbyte_decode)
-
-
-VARBYTE = VarByteCodec()
-
-
 def _reduceat(op, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if len(starts) == 0:
         return np.empty(0, values.dtype)
@@ -196,7 +187,6 @@ def encode_triples_to_runs(
     doc: np.ndarray,
     tf: np.ndarray,
     dl: np.ndarray,
-    codec=VARBYTE,
 ) -> pa.Table:
     """Encode a batch of (part, term, doc, tf, dl) triples — ALREADY sorted by
     (part, term, doc), doc strictly increasing within each (part, term) — into
@@ -222,7 +212,7 @@ def encode_triples_to_runs(
         new_run[1:] = (part[1:] != part[:-1]) | ~same_term
     run_starts = np.flatnonzero(new_run)
     term_per_run = term.take(pa.array(run_starts)).cast(pa.large_string())
-    return _encode_runs(part, term_per_run, doc, tf, dl, new_run, run_starts, codec)
+    return _encode_runs(part, term_per_run, doc, tf, dl, new_run, run_starts)
 
 
 def encode_codes_to_runs(
@@ -232,7 +222,6 @@ def encode_codes_to_runs(
     tf: np.ndarray,
     dl: np.ndarray,
     dict_terms: pa.Array,
-    codec=VARBYTE,
     strict: bool = True,
 ) -> pa.Table:
     """Integer-coded fast path: triples sorted by (code, doc), one partition.
@@ -261,7 +250,6 @@ def encode_codes_to_runs(
         np.asarray(dl, dtype=np.int64),
         new_run,
         run_starts,
-        codec,
         strict,
     )
 
@@ -273,7 +261,6 @@ def encode_multi_part_runs(
     tf: np.ndarray,
     dl: np.ndarray,
     dict_terms: pa.Array,
-    codec=VARBYTE,
     strict: bool = True,
 ) -> pa.Table:
     """Multi-partition fast path: triples sorted by (part, code, doc), doc
@@ -298,7 +285,6 @@ def encode_multi_part_runs(
         np.asarray(dl, dtype=np.int64),
         new_run,
         run_starts,
-        codec,
         strict,
     )
 
@@ -311,7 +297,6 @@ def _encode_runs(
     dl: np.ndarray,
     new_run: np.ndarray,
     run_starts: np.ndarray,
-    codec=VARBYTE,
     strict: bool = True,
 ) -> pa.Table:
     n = len(doc)
@@ -341,8 +326,8 @@ def _encode_runs(
         if len(inner) and inner.min() <= floor:
             raise ValueError("doc ids must be increasing within (part, term)")
 
-    doc_buf, doc_ends = codec.encode(deltas)
-    tf_buf, tf_ends = codec.encode(tf)
+    doc_buf, doc_ends = varbyte_encode(deltas)
+    tf_buf, tf_ends = varbyte_encode(tf)
 
     # per-run byte offsets
     doc_off = np.zeros(n + 1, dtype=np.int64)
@@ -411,10 +396,9 @@ def decode_posting(
     tf_bytes: bytes | np.ndarray | None,
     blk_first: np.ndarray,
     blk_count: np.ndarray,
-    codec=VARBYTE,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Decode one posting (or run) back to (docIds:int64, tfs:int64|None)."""
-    deltas = codec.decode(np.frombuffer(doc_bytes, dtype=np.uint8)).astype(np.int64)
+    deltas = varbyte_decode(np.frombuffer(doc_bytes, dtype=np.uint8)).astype(np.int64)
     blk_count = np.asarray(blk_count, dtype=np.int64)
     blk_first = np.asarray(blk_first, dtype=np.int64)
     starts = np.zeros(len(blk_count), dtype=np.int64)
@@ -426,7 +410,7 @@ def decode_posting(
     docs = c - np.repeat(base, blk_count)
     tfs = None
     if tf_bytes is not None:
-        tfs = codec.decode(np.frombuffer(tf_bytes, dtype=np.uint8)).astype(np.int64)
+        tfs = varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)).astype(np.int64)
     return docs, tfs
 
 
@@ -439,7 +423,6 @@ def decode_posting_range(
     blk_tf_end: np.ndarray,
     b_lo: int,
     b_hi: int,
-    codec=VARBYTE,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Partial decode of blocks [b_lo, b_hi) using the per-block byte
     offsets — the scale path for multi-GB hot-term postings: only the
@@ -449,7 +432,7 @@ def decode_posting_range(
     d_lo = 0 if b_lo == 0 else int(blk_doc_end[b_lo - 1])
     d_hi = int(blk_doc_end[b_hi - 1])
     buf = np.frombuffer(doc_bytes, dtype=np.uint8)[d_lo:d_hi]
-    deltas = codec.decode(buf).astype(np.int64)
+    deltas = varbyte_decode(buf).astype(np.int64)
     counts = np.asarray(blk_count[b_lo:b_hi], dtype=np.int64)
     firsts = np.asarray(blk_first[b_lo:b_hi], dtype=np.int64)
     starts = np.zeros(len(counts), dtype=np.int64)
@@ -463,7 +446,7 @@ def decode_posting_range(
     if tf_bytes is not None:
         t_lo = 0 if b_lo == 0 else int(blk_tf_end[b_lo - 1])
         t_hi = int(blk_tf_end[b_hi - 1])
-        tfs = codec.decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
+        tfs = varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
     return docs, tfs
 
 
@@ -472,7 +455,6 @@ def decode_tf_range(
     blk_tf_end: np.ndarray,
     b_lo: int,
     b_hi: int,
-    codec=VARBYTE,
 ) -> np.ndarray:
     """Partial decode of the tf values of blocks [b_lo, b_hi) only — the
     lazy-tf path of the query engine: docs decode once for set algebra, tf
@@ -480,10 +462,10 @@ def decode_tf_range(
     blk_tf_end = np.asarray(blk_tf_end, dtype=np.int64)
     t_lo = 0 if b_lo == 0 else int(blk_tf_end[b_lo - 1])
     t_hi = int(blk_tf_end[b_hi - 1])
-    return codec.decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
+    return varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
 
 
-def merge_runs(runs: pa.Table, codec=VARBYTE) -> pa.Table:
+def merge_runs(runs: pa.Table) -> pa.Table:
     """Merge encoded runs into one posting row per (part, term).
 
     Runs from different batches cover disjoint, ordered docId ranges, so the
@@ -536,7 +518,7 @@ def merge_runs(runs: pa.Table, codec=VARBYTE) -> pa.Table:
         gid = np.cumsum(new_group) - 1
         bad_mask = np.isin(gid, bad_gid)
         good = _merge_sorted_runs(t.filter(pa.array(~bad_mask)))
-        bad = _reencode_overlapping(t.filter(pa.array(bad_mask)), codec)
+        bad = _reencode_overlapping(t.filter(pa.array(bad_mask)))
         merged = pa.concat_tables([good, bad]).combine_chunks()
         return merged.take(
             pc.sort_indices(merged, sort_keys=[("part", "ascending"), ("term", "ascending")])
@@ -633,16 +615,16 @@ def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray | None = None) -> pa.T
 
 
 def _pos_rows_to_runs(p: int, term: str, docs: np.ndarray, pos: np.ndarray,
-                      dls: np.ndarray, codec=VARBYTE) -> pa.Table:
+                      dls: np.ndarray) -> pa.Table:
     """Re-encode one POS_FIELD occurrence stream (repeated docIds legal)."""
     n = len(docs)
     return encode_codes_to_runs(
         int(p), np.zeros(n, dtype=np.int64), docs, pos, dls,
-        pa.array([term], type=pa.large_string()), codec, strict=False,
+        pa.array([term], type=pa.large_string()), strict=False,
     )
 
 
-def _reencode_overlapping(t: pa.Table, codec=VARBYTE) -> pa.Table:
+def _reencode_overlapping(t: pa.Table) -> pa.Table:
     """Decode overlapping runs to triples and re-encode (robustness path)."""
     parts_out = []
     t = t.combine_chunks()
@@ -660,7 +642,6 @@ def _reencode_overlapping(t: pa.Table, codec=VARBYTE) -> pa.Table:
                 row["tf_bytes"][0].as_py(),
                 np.asarray(row["blk_first"][0].as_py()),
                 np.asarray(row["blk_count"][0].as_py()),
-                codec,
             )
             dls = np.repeat(
                 np.asarray(row["blk_min_dl"][0].as_py(), dtype=np.int64),
@@ -679,7 +660,7 @@ def _reencode_overlapping(t: pa.Table, codec=VARBYTE) -> pa.Table:
             order = np.lexsort((tfs, docs))
             docs, tfs, dls = docs[order], tfs[order], dls[order]
             parts_out.append(
-                _pos_rows_to_runs(p, term, docs, tfs, dls, codec)
+                _pos_rows_to_runs(p, term, docs, tfs, dls)
             )
             continue
         order = np.argsort(docs, kind="stable")
@@ -696,7 +677,6 @@ def _reencode_overlapping(t: pa.Table, codec=VARBYTE) -> pa.Table:
                 docs,
                 tfs,
                 dls,
-                codec,
             )
         )
     return pa.concat_tables(parts_out) if parts_out else RUNS_SCHEMA.empty_table()

@@ -204,8 +204,12 @@ def parse_query(query: str, default_field: str = DEFAULT_FIELD,
     build-time analyzer (TermTokenizer.java:34-54: ingest ≡ query); callers
     resolve it from the global manifest."""
     from .analyzers import get_analyzer
+    from .segments import META_FIELDS
 
     _scalar = get_analyzer(analyzer).scalar
+
+    def _keyword(text: str, use_stopwords: bool = False) -> list[str]:
+        return [text] if text else []
 
     if query.count('"') % 2:
         raise QueryParseError("unterminated phrase quote")
@@ -225,7 +229,10 @@ def parse_query(query: str, default_field: str = DEFAULT_FIELD,
     def analyze(tok: str, field: str) -> Filter | None:
         """Term atom → filter, running the ANALYZER on the term text the way
         Lucene's QueryParser does (terms must normalize identically on the
-        build and query sides — TermTokenizer.java:34-54)."""
+        build and query sides — TermTokenizer.java:34-54). Values of the
+        single-term meta fields are raw keywords: the build indexes them
+        verbatim (build._single_term_columns)."""
+        scalar = _keyword if field in META_FIELDS else _scalar
         if field != default_field and "^" in tok and not tok.endswith("*"):
             # composite-field value `f:va^vb` (MiruSchema.java:32 composite;
             # display joiner '^' → the index's pack joiner). Source values
@@ -263,14 +270,14 @@ def parse_query(query: str, default_field: str = DEFAULT_FIELD,
             k = int(fz.group(2)) if fz.group(2) else 2
             if k > 2:
                 raise QueryParseError(f"fuzzy distance > 2: {tok!r}")
-            toks = _scalar(fz.group(1), use_stopwords=use_stopwords)
+            toks = scalar(fz.group(1), use_stopwords=use_stopwords)
             if not toks:
                 return None
             value = toks[-1] if k == 0 else f"{toks[-1]}~{k}"
             return Filter("and", False, [FieldFilter(field, [value])], [])
         prefix = tok.endswith("*")
         body = tok[:-1] if prefix else tok
-        toks = _scalar(body, use_stopwords=use_stopwords)
+        toks = scalar(body, use_stopwords=use_stopwords)
         if not toks:
             return None  # analyzer dropped it (stopword / punctuation)
         if prefix:

@@ -51,11 +51,13 @@ def rrf_fuse(rank_lists: list[np.ndarray], k: int, c: int = RRF_C) -> pa.Table:
     )
 
 
-def _bm25_candidates(sf_dir: str, terms: tuple[str, ...], n: int) -> np.ndarray:
-    """Lexical list: AND of ``terms``, fp64 BM25 (the ft_topk_bm25 fixed
-    expression order — FullText.java:99-220's scorer shape with Robertson
-    idf), rank = (score desc, doc_id desc). Same chain as ann.mmr_rerank_docs'
-    candidate stage; the engine's fp32 path is rank-identity pytest-gated."""
+def bm25_candidates(sf_dir: str, terms: tuple[str, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lexical candidates over the documents corpus: AND of ``terms``,
+    fp64 BM25 (the ft_topk_bm25 fixed expression order —
+    FullText.java:99-220's scorer shape with Robertson idf), the top ``n``
+    by (score desc, doc_id desc) as (doc_ids, scores). The one fp64 chain
+    behind RRF's lexical list and ann.mmr_rerank_docs' candidate stage; the
+    engine's fp32 path is rank-identity pytest-gated."""
     from .search import PostingSource
     from .segments import partition
     from .transcripts import ensure_index
@@ -80,7 +82,7 @@ def _bm25_candidates(sf_dir: str, terms: tuple[str, ...], n: int) -> np.ndarray:
         tf = src.tfs("text", w)[np.searchsorted(docs, answer)].astype(np.float64)
         score = score + idf * (tf / (tf + knorm))
     order = np.lexsort((-answer, -score))[:n]
-    return answer[order]
+    return answer[order], score[order]
 
 
 def _cosine_candidates(sf_dir: str, qvec_id: int, n: int) -> np.ndarray:
@@ -122,6 +124,6 @@ def rrf_retrieve(
     """Hybrid top-``k`` over the documents corpus: BM25 AND-query candidates
     fused with the ``qvec_id`` embedding's cosine neighbours by RRF.
     Returns (doc_id, rrf) — rrf desc, doc_id desc."""
-    lex = _bm25_candidates(sf_dir, terms, n)
+    lex, _scores = bm25_candidates(sf_dir, terms, n)
     sem = _cosine_candidates(sf_dir, qvec_id, n)
     return rrf_fuse([lex, sem], k, c=c)

@@ -32,55 +32,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filters import DEFAULT_MAX_WILDCARD_EXPANSION
-from .search import PostingSource, _collect_term_specs, eval_filter_np
-from .segments import FIELD_SEP, META_FIELDS, forward_columns, partition, read_term_dfs
+from .filters import DEFAULT_MAX_WILDCARD_EXPANSION, parse_query
+from .search import PostingSource, _analyzer_name, _collect_term_specs, match_set
+from .segments import (
+    FIELD_SEP,
+    META_FIELDS,
+    forward_columns,
+    partition,
+    read_term_dfs,
+    read_tombstones,
+)
 
 
 def _answer(index_dir: str, part: int, query: str | None, use_stopwords: bool,
             time_range: tuple[int, int] | None = None):
-    """(answer docIds | None-for-all, n_docs, fwd) for one partition.
-
-    Every plugin path ANDs the removal index out, exactly like the fulltext
-    question (buildIndexMask, MiruBitmapsRoaring.java:492-503) — REMOVEd docs
-    must not surface in distincts/counts/waveforms either. ``time_range``
-    (inclusive lo..hi on ts) ANDs the same time mask the fulltext path
-    applies — a boolean mask over the forward ts column, not searchsorted,
-    because an extended partition may hold late-arrival epochs whose ts
-    overlaps earlier ones."""
-    from .segments import read_tombstones
-
+    """(answer docIds | None-for-all, n_docs, fwd) for one partition: the
+    fulltext question's match-set step (search.match_set), so every plugin
+    path masks REMOVEd docs (buildIndexMask, MiruBitmapsRoaring.java:492-503)
+    and the inclusive ``time_range`` on ts exactly as the fulltext path
+    does. ``query=None`` matches every doc."""
     n_docs = partition(index_dir, part).manifest["metrics"]["n_docs"]
     fwd = forward_columns(index_dir, part)
     removed = read_tombstones(index_dir, part)
-    if query is None:
-        if time_range is None and len(removed) == 0:
-            return None, n_docs, fwd
-        if time_range is None:
-            universe = np.arange(n_docs, dtype=np.int64)
-        else:
-            lo, hi = time_range
-            ts = np.asarray(fwd["ts"])
-            universe = np.flatnonzero((ts >= lo) & (ts <= hi)).astype(np.int64)
-        if len(removed):
-            universe = np.setdiff1d(universe, removed, assume_unique=True)
-        return universe, n_docs, fwd
-    from .filters import parse_query
-
-    from .search import _analyzer_name
-
-    filt = parse_query(query, use_stopwords=use_stopwords,
-                       analyzer=_analyzer_name(index_dir))
-    specs: list[tuple[str, str]] = []
-    _collect_term_specs(filt, specs)
-    src = PostingSource(index_dir, part, specs, DEFAULT_MAX_WILDCARD_EXPANSION)
-    answer = eval_filter_np(filt, src, n_docs, None)
-    if len(removed) and len(answer):
-        answer = np.setdiff1d(answer, removed, assume_unique=True)
-    if time_range is not None and len(answer):
-        lo, hi = time_range
-        ts_a = np.asarray(fwd["ts"])[answer]
-        answer = answer[(ts_a >= lo) & (ts_a <= hi)]
+    if query is None and time_range is None and len(removed) == 0:
+        return None, n_docs, fwd
+    filt = src = None
+    if query is not None:
+        filt = parse_query(query, use_stopwords=use_stopwords,
+                           analyzer=_analyzer_name(index_dir))
+        specs: list[tuple[str, str]] = []
+        _collect_term_specs(filt, specs)
+        src = PostingSource(index_dir, part, specs, DEFAULT_MAX_WILDCARD_EXPANSION)
+    answer = match_set(index_dir, part, filt, src, n_docs, fwd, removed,
+                       time_range=time_range)
     return answer, n_docs, fwd
 
 
@@ -408,8 +392,6 @@ def latest_first_partition(index_dir: str, part: int, field: str, prefix: str = 
     aggregates, free from the posting metadata columns. When tombstones
     exist, any term whose first/last doc was REMOVEd re-derives its
     endpoints from the (masked) posting; fully-removed terms are dropped."""
-    from .segments import read_tombstones
-
     terms, first, last, df = _postings_meta(index_dir, part, field, prefix)
     removed = read_tombstones(index_dir, part)
     if len(removed):

@@ -41,8 +41,11 @@ Rank-identity contract (tested against the pure-python oracle):
 
 BM25 mode (the north star's scoring engine) uses the same machinery with
 idf = ln(1 + (N - df + ½)/(df + ½)) and the k1/b length normalization over
-the per-partition doc-length table; block-max metadata enables skip
-pruning for conjunctive all-positive queries (see codec.BLOCK_SIZE).
+the per-partition doc-length table. The per-partition ranking kernel lives
+in wand.py: one exact fp32 scorer for every relevance scorer, and one gate
+that sends a flat OR or flat AND of plain terms with no mask to block-max
+pruned top-k (see codec.BLOCK_SIZE) and everything else to full
+evaluation of the match set.
 """
 
 from __future__ import annotations
@@ -63,12 +66,9 @@ from .segments import (
     read_postings_for_terms,
     read_term_between,
     read_term_range,
+    read_tombstones,
 )
-
-F32 = np.float32
-BM25_K1 = 1.2
-BM25_B = 0.75
-LMD_MU = 1500.0  # Dirichlet smoothing mass (Zhai & Lafferty 2004 default range)
+from .wand import F32, block_max_mode, score_exact, term_multipliers, wand_topk
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -653,12 +653,10 @@ def search_partition(
                 or min_score is not None:
             raise ValueError("group_by composes with ranked scorers only "
                              "(no collapse/match/after/serial report)")
-    manifest = partition(index_dir, part).manifest
-    n_docs = manifest["metrics"]["n_docs"]
-    avg_dl = manifest["metrics"].get("avg_dl") or (
-        manifest["metrics"]["total_tokens"] / max(1, n_docs)
-    )
-    total_tokens = float(manifest["metrics"].get("total_tokens") or avg_dl * n_docs)
+    metrics = partition(index_dir, part).manifest["metrics"]
+    n_docs = metrics["n_docs"]
+    avg_dl = metrics.get("avg_dl") or metrics["total_tokens"] / max(1, n_docs)
+    total_tokens = float(metrics.get("total_tokens") or avg_dl * n_docs)
     filt = parse_query(query, use_stopwords=use_stopwords,
                        analyzer=_analyzer_name(index_dir))
     if synonyms:
@@ -676,75 +674,25 @@ def search_partition(
     if constraint is not None:
         _collect_term_specs(constraint, specs)
     src = PostingSource(index_dir, part, specs, max_wild)
-
-    from .segments import read_tombstones
-
     removed = read_tombstones(index_dir, part)
-    if (
-        prune
-        and scoring in ("ref_tfidf", "bm25")
-        and constraint is None
-        and time_range is None
-        and authz is None
-        and len(removed) == 0
-        and k > 0
-        and min_score is None
-        and after is None
-        and collapse is None  # group reps may rank below the global top-k
-        and group_by is None
-    ):
-        from .wand import conjunctive_terms, disjunctive_terms, wand_topk
+    fwd = forward_columns(index_dir, part)
 
-        mode = "or"
-        occ = disjunctive_terms(filt)
-        if occ is None:
-            occ = conjunctive_terms(filt)
-            mode = "and"
-        if occ is not None:
-            # block-max pruned path (exact; rank-identical by construction)
-            counts: dict[tuple[str, str], int] = {}
-            for key in occ:
-                counts[key] = counts.get(key, 0) + 1
-            fwd = forward_columns(index_dir, part)
-            docs_w, scores_w, found, _pruned = wand_topk(
-                src, counts, k, scoring, n_docs, avg_dl, fwd["dl"], mode=mode
-            )
-            if len(docs_w) > k:
-                # selection before the exact sort (argpartition + widen to
-                # ties) — the flat-gated path returns the whole scored
-                # domain, and lexsorting it all costs more than selection
-                part_idx = np.argpartition(scores_w, len(scores_w) - k)[len(scores_w) - k:]
-                kth = scores_w[part_idx].min()
-                cand = np.flatnonzero(scores_w >= kth)
-            else:
-                cand = np.arange(len(docs_w))
-            order = cand[np.lexsort((-docs_w[cand], -scores_w[cand]))[:k]]
-            sel_docs, sel_scores = docs_w[order], scores_w[order]
-            ts_top = fwd["ts"][sel_docs]
-            final = np.lexsort((-ts_top, -sel_scores))
-            return _gather(fwd, part, sel_docs[final], sel_scores[final], found)
+    plan = block_max_mode(
+        filt, scoring, removed, k=k, prune=prune, constraint=constraint,
+        time_range=time_range, authz=authz, min_score=min_score, after=after,
+        collapse=collapse, group_by=group_by,
+    )
+    if plan is not None:
+        # block-max pruned path (exact; rank-identical by construction)
+        mode, counts = plan
+        docs, scores, found, _pruned = wand_topk(
+            src, counts, k, scoring, n_docs, avg_dl, fwd["dl"], mode=mode
+        )
+        return _top_k(fwd, part, docs, scores, k, found)
 
     collector: dict[tuple[str, str], int] = {}
-    answer = eval_filter_np(filt, src, n_docs, collector)
-    if len(removed) and len(answer):
-        # index mask: universe minus the removal index (buildIndexMask,
-        # MiruBitmapsRoaring.java:492-503)
-        answer = np.setdiff1d(answer, removed, assume_unique=True)
-    if constraint is not None:
-        answer = np.intersect1d(
-            answer, eval_filter_np(constraint, src, n_docs, None), assume_unique=True
-        )
-    if authz is not None and len(answer):
-        # authz mask ANDed in after constraints, before the time range —
-        # the askLocal mask order (FullTextCustomQuestion.java:105-111)
-        answer = np.intersect1d(
-            answer, authz_mask(index_dir, part, authz, n_docs), assume_unique=True
-        )
-    fwd = forward_columns(index_dir, part)
-    if time_range is not None and len(answer):
-        lo, hi = time_range
-        ts_a = fwd["ts"][answer]
-        answer = answer[(ts_a >= lo) & (ts_a <= hi)]
+    answer = match_set(index_dir, part, filt, src, n_docs, fwd, removed,
+                       constraint, authz, time_range, collector)
     found = int(len(answer))
 
     if scoring == "match":
@@ -774,58 +722,8 @@ def search_partition(
         scores = np.zeros(len(top), dtype=np.float32)
         return _gather(fwd, part, top, scores, found)
 
-    # multipliers in sorted term order (deterministic fp32 accumulation)
-    scores = np.zeros(len(answer), dtype=np.float32)
-    dl_answer = None
-    lmd_qlen = 0
-    for (field, term), c in sorted(collector.items()):
-        if scoring == "ref_tfidf":
-            g = src.ttf.get((field, term), 0)
-            if g <= 0:
-                continue
-            m = F32(F32(c) / F32(g))
-        elif scoring == "bm25":
-            df = src.df.get((field, term), 0)
-            if df <= 0 or c <= 0:
-                continue
-            idf = np.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            m = F32(F32(c) * F32(idf))
-        elif scoring == "lmd":
-            # Dirichlet-smoothed query likelihood (Zhai & Lafferty 2004),
-            # rank-equivalent sum form: c·ln(1 + tf·T/(μ·ttf)) per term,
-            # plus one dl-dependent prior term after the loop. Terms absent
-            # from the partition dictionary contribute nothing (and are
-            # excluded from the prior's query length, mirroring the fp64
-            # oracle chain).
-            g = src.ttf.get((field, term), 0)
-            if g <= 0 or c <= 0:
-                continue
-            lmd_qlen += c
-            m = F32(c)
-        else:
-            raise ValueError(scoring)
-        docs = src.docs(field, term)
-        pos = np.searchsorted(answer, docs)
-        valid = (pos < len(answer)) & (answer[np.minimum(pos, len(answer) - 1)] == docs) if len(answer) else np.zeros(0, bool)
-        pos = pos[valid]
-        tf_i = src.tf_at(field, term, np.flatnonzero(valid))
-        tf_v = tf_i.astype(np.float32)
-        if scoring == "ref_tfidf":
-            scores[pos] += F32(m) * tf_v
-        elif scoring == "lmd":
-            g = src.ttf[(field, term)]
-            scores[pos] += F32(m) * np.log(
-                1.0 + (tf_i.astype(np.float64) * total_tokens) / (LMD_MU * g)
-            ).astype(np.float32)
-        else:
-            if dl_answer is None:
-                dl_answer = fwd["dl"][answer].astype(np.float64)
-            denom = (tf_i + BM25_K1 * (1.0 - BM25_B + BM25_B * dl_answer[pos] / avg_dl)).astype(np.float32)
-            scores[pos] += F32(m) * (tf_v / denom)
-    if scoring == "lmd" and len(answer):
-        if dl_answer is None:
-            dl_answer = fwd["dl"][answer].astype(np.float64)
-        scores += F32(lmd_qlen) * np.log(LMD_MU / (dl_answer + LMD_MU)).astype(np.float32)
+    scores = score_exact(src, term_multipliers(src, collector, scoring, n_docs),
+                         answer, scoring, avg_dl, fwd["dl"], total_tokens)
 
     if min_score is not None and len(answer):
         # serial-report admission (FullText.java:134-141 batchTfIdf): docs
@@ -857,25 +755,62 @@ def search_partition(
         answer = answer[keep]
         scores = scores[keep]
 
-    if k <= 0 or len(answer) == 0:
-        return _gather(fwd, part, answer[:0], scores[:0], found)
-    # top-k by (score desc, docId desc); answer is doc-ascending so lexsort
-    # with -answer secondary gives the heap's tie-break (RawBitScore)
-    if len(answer) > k:
-        part_idx = np.argpartition(scores, len(scores) - k)[len(scores) - k :]
-        # argpartition boundary can split equal scores arbitrarily — widen to
-        # all docs with score >= kth value, then exact-sort
-        kth = scores[part_idx].min()
+    return _top_k(fwd, part, answer, scores, k, found)
+
+
+def match_set(index_dir: str, part: int, filt: Filter | None, src: PostingSource | None,
+              n_docs: int, fwd: dict, removed: np.ndarray,
+              constraint: Filter | None = None,
+              authz: tuple[str, tuple[str, ...]] | None = None,
+              time_range: tuple[int, int] | None = None,
+              collector: dict[tuple[str, str], int] | None = None) -> np.ndarray:
+    """A partition's sorted match set, masked in the reference's askLocal
+    order (FullTextCustomQuestion.java:89-114): the filter (``filt=None``
+    matches every doc; its terms fill the signed ``collector``), then the
+    removal index, the constraint, the authz mask and the time range."""
+    if filt is None:
+        answer = np.arange(n_docs, dtype=np.int64)
+    else:
+        answer = eval_filter_np(filt, src, n_docs, collector)
+    if len(removed) and len(answer):
+        # index mask: universe minus the removal index (buildIndexMask,
+        # MiruBitmapsRoaring.java:492-503)
+        answer = np.setdiff1d(answer, removed, assume_unique=True)
+    if constraint is not None:
+        answer = np.intersect1d(
+            answer, eval_filter_np(constraint, src, n_docs, None), assume_unique=True
+        )
+    if authz is not None and len(answer):
+        answer = np.intersect1d(
+            answer, authz_mask(index_dir, part, authz, n_docs), assume_unique=True
+        )
+    if time_range is not None and len(answer):
+        # a boolean mask over the forward ts column, not a searchsorted: an
+        # extended partition may hold late-arrival epochs whose ts overlap
+        lo, hi = time_range
+        ts_a = fwd["ts"][answer]
+        answer = answer[(ts_a >= lo) & (ts_a <= hi)]
+    return answer
+
+
+def _top_k(fwd: dict, part: int, docs: np.ndarray, scores: np.ndarray, k: int,
+           found: int) -> dict:
+    """The partition answer: the top k of ``docs`` by (score desc, docId
+    desc) — the reference's heap order (RawBitScore) — ordered (score desc,
+    ts desc) (ActivityScore.compareTo) and gathered."""
+    if k <= 0 or len(docs) == 0:
+        return _gather(fwd, part, docs[:0], scores[:0], found)
+    if len(docs) > k:
+        # selection before the exact sort: the argpartition boundary can
+        # split equal scores arbitrarily, so widen to every doc scoring at
+        # least the kth value, then sort those exactly
+        kth = scores[np.argpartition(scores, len(scores) - k)[len(scores) - k:]].min()
         cand = np.flatnonzero(scores >= kth)
     else:
-        cand = np.arange(len(answer))
-    order = np.lexsort((-answer[cand], -scores[cand]))[:k]
-    sel = cand[order]
-    # answer ordering: (score desc, ts desc) — ActivityScore.compareTo
-    top_docs = answer[sel]
-    top_scores = scores[sel]
-    ts_top = fwd["ts"][top_docs]
-    final = np.lexsort((-ts_top, -top_scores))
+        cand = np.arange(len(docs))
+    sel = cand[np.lexsort((-docs[cand], -scores[cand]))[:k]]
+    top_docs, top_scores = docs[sel], scores[sel]
+    final = np.lexsort((-fwd["ts"][top_docs], -top_scores))
     return _gather(fwd, part, top_docs[final], top_scores[final], found)
 
 
@@ -1150,21 +1085,23 @@ class SearchEngine:
         self.last_parts_asked = 0
         _fire_lifecycle("open", index_dir)  # IndexOpenCallback analogue
 
+    def _manifest(self, part: int) -> dict | None:
+        """The partition manifest from the primary or, when the primary's
+        is unreadable (a vanished partition dir), from the first replica
+        that has it; None when none does."""
+        m = partition(self.index_dir, part).manifest
+        for rep in self.replicas:
+            if m is not None:
+                break
+            m = partition(rep, part).manifest
+        return m
+
     def _ts_bounds(self, part: int) -> tuple[int, int] | None:
         """(ts_min, ts_max) from the partition manifest zone map, or None
         for indexes built before the zone map existed (no pruning then) —
-        or whose manifest is unreadable on the primary (a vanished
-        partition dir): the partition then stays active and fails over to
-        a replica at ask time instead of crashing the prune walk."""
-        m = partition(self.index_dir, part).manifest
-        if m is None:
-            for rep in self.replicas:
-                m = partition(rep, part).manifest
-                if m is not None:
-                    break
-        if m is None:
-            return None
-        met = m.get("metrics", {})
+        or whose manifest no copy can read: the partition then stays
+        active and fails at ask time instead of crashing the prune walk."""
+        met = (self._manifest(part) or {}).get("metrics", {})
         if met.get("ts_min") is None or met.get("ts_max") is None:
             return None
         return int(met["ts_min"]), int(met["ts_max"])
@@ -1518,10 +1455,10 @@ class SearchEngine:
     def stats(self) -> dict:
         """Index inspection (the reference's ops/inspection endpoints —
         reader inspect UIs, MiruManage): global build config + totals +
-        per-partition metrics, all from manifests (no posting reads)."""
+        per-partition metrics, all from manifests (no posting reads) — a
+        partition the primary lost reads its replica's."""
         per_part = {
-            p: dict(partition(self.index_dir, p).manifest.get("metrics", {}))
-            for p in self.parts
+            p: dict((self._manifest(p) or {}).get("metrics", {})) for p in self.parts
         }
         return {
             "n_parts": len(self.parts),
@@ -1540,9 +1477,8 @@ class SearchEngine:
         """Query debugging (Lucene IndexSearcher.explain spirit): the parsed
         spec list, each spec's expansion on one partition (newest by
         default), per-term posting stats (df, Σtf, block count, lazy-tf),
-        and which execution strategy the gate would choose."""
-        from .wand import conjunctive_terms, disjunctive_terms
-
+        and the execution strategy ``search`` takes there with its default
+        options (the gate sees the partition's tombstones)."""
         p = self.parts[0] if part is None else part
         use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
         filt = parse_query(query, use_stopwords=use_stop,
@@ -1561,15 +1497,12 @@ class SearchEngine:
                     "n_blocks": len(blocks["first"]) if blocks else 0,
                     "lazy_tf": bool(post is not None and post[1] is None),
                 }
-        occ, mode = disjunctive_terms(filt), "or"
-        if occ is None:
-            occ, mode = conjunctive_terms(filt), "and"
-        wand_ok = occ is not None and scoring in ("ref_tfidf", "bm25")
+        plan = block_max_mode(filt, scoring, read_tombstones(self.index_dir, p))
         return {
             "part": p,
             "query": query,
             "scoring": scoring,
-            "strategy": f"block-max-wand-{mode}" if wand_ok else "full-eval",
+            "strategy": f"block-max-wand-{plan[0]}" if plan else "full-eval",
             "has_phrase": _has_phrase(filt),
             "expansions": {
                 f"{f}:{v}": list(ts) for (f, v), ts in src.expansions.items()

@@ -800,6 +800,24 @@ def test_search_after_pagination(engine):
         assert len(pages) == min(60, found), (q, scoring)
 
 
+def test_meta_field_values_are_raw_keywords(engine, tiny_oracle):
+    """role/tool/conv_id values are indexed verbatim, so the parser keeps
+    them raw: ``conv_id:conv-00000085`` is the one stored conv_id term
+    (the text analyzer would split it into ``conv AND 00000085``), equal to
+    its single-term range and to the oracle."""
+    q, rq = "conv_id:conv-00000085", "conv_id:[conv-00000085 TO conv-00000085]"
+    for scoring in ("ref_tfidf", "time"):
+        hits, found = engine.search(q, k=50, scoring=scoring, parallel=False,
+                                    early_exit=False)
+        rhits, rfound = engine.search(rq, k=50, scoring=scoring, parallel=False,
+                                      early_exit=False)
+        ohits, ofound = oracle_search(tiny_oracle, q, k=50, scoring=scoring)
+        assert found == rfound == ofound == 31
+        assert {h.conv_id for h in hits} == {"conv-00000085"}
+        assert [(h.part, h.doc_id) for h in hits] == [(h.part, h.doc_id) for h in rhits]
+        assert [(h.part, h.doc_id) for h in hits] == [(h.part, h.doc_id) for h in ohits]
+
+
 def test_stats_and_explain(engine, index_dir, tiny_rows):
     st = engine.stats()
     assert st["n_parts"] == N_PARTS

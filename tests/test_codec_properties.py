@@ -1,16 +1,13 @@
 """Property-based codec tests (hypothesis): value-codec round-trips,
 posting encode/decode identity, and merge invariance under arbitrary run
-splits — each run through the value-codec object (``VARBYTE``) the encode
-and decode paths take."""
+splits."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from miru_ray.codec import (
     RUNS_SCHEMA,
-    VARBYTE,
     decode_posting,
     encode_triples_to_runs,
     merge_runs,
@@ -18,32 +15,19 @@ from miru_ray.codec import (
     varbyte_encode,
 )
 
-BOTH = pytest.mark.parametrize("codec", [VARBYTE], ids=["varbyte"])
-
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_varbyte_roundtrip(values):
+    """The value-codec contract: decode(encode(v)) == v, one byte-end
+    offset per value, and ends[-1] == len(buf)."""
     v = np.asarray(values, dtype=np.uint64)
     buf, ends = varbyte_encode(v)
     out = varbyte_decode(buf)
     np.testing.assert_array_equal(out, v)
-    if len(v):
-        assert ends[-1] == len(buf)
-
-
-@BOTH
-@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
-@settings(max_examples=100, deadline=None)
-def test_codec_roundtrip(codec, values):
-    """The value-codec contract: decode(encode(v)) == v and
-    ends[-1] == len(buf). Value domain is uint32 (docIds are int32)."""
-    v = np.asarray(values, dtype=np.uint64)
-    buf, ends = codec.encode(v)
-    np.testing.assert_array_equal(codec.decode(buf), v)
-    if len(v):
-        assert ends[-1] == len(buf)
     assert len(ends) == len(v)
+    if len(v):
+        assert ends[-1] == len(buf)
 
 
 @st.composite
@@ -64,10 +48,9 @@ def posting(draw):
     return docs, tfs, dls
 
 
-@BOTH
 @given(posting())
 @settings(max_examples=100, deadline=None)
-def test_posting_encode_decode_identity(codec, p):
+def test_posting_encode_decode_identity(p):
     docs, tfs, dls = p
     t = encode_triples_to_runs(
         np.zeros(len(docs), dtype=np.int64),
@@ -75,13 +58,11 @@ def test_posting_encode_decode_identity(codec, p):
         docs,
         tfs,
         dls,
-        codec,
     )
     assert t.num_rows == 1
     d, f = decode_posting(
         t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(),
         np.asarray(t["blk_first"][0].as_py()), np.asarray(t["blk_count"][0].as_py()),
-        codec,
     )
     np.testing.assert_array_equal(d, docs)
     np.testing.assert_array_equal(f, tfs)
@@ -97,10 +78,9 @@ def test_posting_encode_decode_identity(codec, p):
         assert bmax[i] == tfs[s : s + c].max()
 
 
-@BOTH
 @given(posting(), st.lists(st.integers(min_value=1, max_value=299), max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_merge_runs_split_invariance(codec, p, cut_points):
+def test_merge_runs_split_invariance(p, cut_points):
     """Splitting a posting into arbitrary consecutive runs and merging must
     reproduce the single-run decode exactly."""
     docs, tfs, dls = p
@@ -116,15 +96,13 @@ def test_merge_runs_split_invariance(codec, p, cut_points):
                     docs[lo:hi],
                     tfs[lo:hi],
                     dls[lo:hi],
-                    codec,
                 )
             )
-    merged = merge_runs(pa.concat_tables(parts), codec) if parts else RUNS_SCHEMA.empty_table()
+    merged = merge_runs(pa.concat_tables(parts)) if parts else RUNS_SCHEMA.empty_table()
     assert merged.num_rows == 1
     d, f = decode_posting(
         merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),
         np.asarray(merged["blk_first"][0].as_py()), np.asarray(merged["blk_count"][0].as_py()),
-        codec,
     )
     np.testing.assert_array_equal(d, docs)
     np.testing.assert_array_equal(f, tfs)
@@ -132,10 +110,9 @@ def test_merge_runs_split_invariance(codec, p, cut_points):
     assert merged["ttf"][0].as_py() == int(tfs.sum())
 
 
-@BOTH
 @given(posting(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_block_range_decode(codec, p, data):
+def test_block_range_decode(p, data):
     """decode_posting_range over any block window == the corresponding slice
     of the full decode — including after a multi-run merge."""
     from miru_ray.codec import decode_posting_range
@@ -154,12 +131,12 @@ def test_block_range_decode(codec, p, data):
         encode_triples_to_runs(
             np.zeros(hi - lo, dtype=np.int64),
             pa.array(["x"] * (hi - lo), type=pa.large_string()),
-            docs[lo:hi], tfs[lo:hi], dls[lo:hi], codec,
+            docs[lo:hi], tfs[lo:hi], dls[lo:hi],
         )
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    t = merge_runs(pa.concat_tables(parts), codec)
+    t = merge_runs(pa.concat_tables(parts))
     assert t.num_rows == 1
     blk_first = np.asarray(t["blk_first"][0].as_py())
     blk_count = np.asarray(t["blk_count"][0].as_py())
@@ -172,7 +149,7 @@ def test_block_range_decode(codec, p, data):
     b_hi = data.draw(st.integers(min_value=b_lo + 1, max_value=n_blocks))
     d, f = decode_posting_range(
         t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(),
-        blk_first, blk_count, blk_doc_end, blk_tf_end, b_lo, b_hi, codec,
+        blk_first, blk_count, blk_doc_end, blk_tf_end, b_lo, b_hi,
     )
     starts = np.concatenate([[0], np.cumsum(blk_count)])
     lo_v, hi_v = int(starts[b_lo]), int(starts[b_hi])

@@ -46,11 +46,11 @@ def test_rrf_retrieve_end_to_end(ray_session):
     """The fused answer is exactly the manual fusion of the two candidate
     lists the module's own stages produce, and every hit comes from one of
     them."""
-    from miru_ray.hybrid import _bm25_candidates, _cosine_candidates
+    from miru_ray.hybrid import _cosine_candidates, bm25_candidates
 
     terms, qvec, n, k = ("the", "scan"), 5, 15, 8
     got = rrf_retrieve(SF, terms, qvec, n=n, k=k).to_pydict()
-    lex = _bm25_candidates(SF, terms, n)
+    lex, _scores = bm25_candidates(SF, terms, n)
     sem = _cosine_candidates(SF, qvec, n)
     assert len(lex) and len(sem)
     exp = _scalar_rrf([lex.tolist(), sem.tolist()], RRF_C)

@@ -18,7 +18,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from miru_ray.build import build_index, extend_index
-from miru_ray.codec import POS_FIELD, VARBYTE, decode_posting, encode_codes_to_runs, merge_runs
+from miru_ray.codec import POS_FIELD, decode_posting, encode_codes_to_runs, merge_runs
 from miru_ray.filters import QueryParseError, parse_query
 from miru_ray.oracle import build_oracle_partitions, oracle_search
 from miru_ray.search import SearchEngine
@@ -239,13 +239,13 @@ def test_overlap_reencode_preserves_occurrences():
     p2 = np.array([9, 0, 4], dtype=np.int64)
     dl = np.full(3, 10, dtype=np.int64)
     z = np.zeros(3, dtype=np.int64)
-    r1 = encode_codes_to_runs(0, z, d1, p1, dl, dict_terms, VARBYTE, strict=False)
-    r2 = encode_codes_to_runs(0, z, d2, p2, dl, dict_terms, VARBYTE, strict=False)
-    merged = merge_runs(pa.concat_tables([r1, r2]), VARBYTE)
+    r1 = encode_codes_to_runs(0, z, d1, p1, dl, dict_terms, strict=False)
+    r2 = encode_codes_to_runs(0, z, d2, p2, dl, dict_terms, strict=False)
+    merged = merge_runs(pa.concat_tables([r1, r2]))
     got_d, got_p = decode_posting(
         merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),
         np.asarray(merged["blk_first"][0].as_py()),
-        np.asarray(merged["blk_count"][0].as_py()), VARBYTE,
+        np.asarray(merged["blk_count"][0].as_py()),
     )
     assert list(zip(got_d.tolist(), got_p.tolist())) == [
         (3, 0), (3, 5), (3, 9), (7, 0), (7, 2), (7, 4)
@@ -265,30 +265,28 @@ def test_codec_nonstrict_roundtrip():
     codes = np.zeros(len(doc), dtype=np.int64)
     dict_terms = pa.array([POS_FIELD + "\x1fterm"], type=pa.large_string())
     dl = np.full(len(doc), 10_000, dtype=np.int64)
-    runs = encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, VARBYTE, strict=False)
+    runs = encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, strict=False)
     got_d, got_p = decode_posting(
         runs["doc_bytes"][0].as_py(), runs["tf_bytes"][0].as_py(),
         np.asarray(runs["blk_first"][0].as_py()), np.asarray(runs["blk_count"][0].as_py()),
-        VARBYTE,
     )
     np.testing.assert_array_equal(got_d, doc)
     np.testing.assert_array_equal(got_p, pos)
     # strict mode still rejects duplicates
     with pytest.raises(ValueError):
-        encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, VARBYTE, strict=True)
+        encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, strict=True)
     # merge of two disjoint-docId-range runs concatenates losslessly
     half = len(doc) // 2
     while half < len(doc) and doc[half] == doc[half - 1]:
         half += 1
     r1 = encode_codes_to_runs(0, codes[:half], doc[:half], pos[:half], dl[:half],
-                              dict_terms, VARBYTE, strict=False)
+                              dict_terms, strict=False)
     r2 = encode_codes_to_runs(0, codes[half:], doc[half:], pos[half:], dl[half:],
-                              dict_terms, VARBYTE, strict=False)
-    merged = merge_runs(pa.concat_tables([r1, r2]), VARBYTE)
+                              dict_terms, strict=False)
+    merged = merge_runs(pa.concat_tables([r1, r2]))
     md, mp = decode_posting(
         merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),
         np.asarray(merged["blk_first"][0].as_py()), np.asarray(merged["blk_count"][0].as_py()),
-        VARBYTE,
     )
     np.testing.assert_array_equal(md, doc)
     np.testing.assert_array_equal(mp, pos)

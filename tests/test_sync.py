@@ -173,6 +173,21 @@ def test_replica_failover_missing_partition(src_idx, tmp_path_factory):
     assert found_naked < found
 
 
+def test_stats_fails_over_to_replica_manifest(src_idx, tmp_path_factory, drop_resident):
+    """stats() on a replica-configured engine whose primary lost a
+    partition dir reads that partition's manifest from the replica, as
+    search does, and equals the fault-free stats()."""
+    rep = str(tmp_path_factory.mktemp("failover_rep_stats"))
+    sync_index(src_idx, rep)
+    want = SearchEngine(src_idx).stats()
+
+    shutil.rmtree(part_dir(src_idx, 3))
+    drop_resident()
+    eng = SearchEngine(src_idx, replicas=[rep])
+    assert eng.stats() == want
+    assert eng.search("t1 t7", k=5, parallel=False)[1] > 0
+
+
 def test_replica_failover_time_range_and_serial_and_suggest(src_idx, tmp_path_factory,
                                                           drop_resident):
     """Review regressions: a vanished primary partition must not crash the

@@ -4,6 +4,7 @@ splits."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from miru_ray.codec import (
@@ -28,6 +29,22 @@ def test_varbyte_roundtrip(values):
     assert len(ends) == len(v)
     if len(v):
         assert ends[-1] == len(buf)
+
+
+@pytest.mark.parametrize(
+    "encode, decode", [(varbyte_encode, varbyte_decode)], ids=["varbyte"]
+)
+@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_codec_roundtrip(encode, decode, values):
+    """The value-codec contract on the docId domain (uint32; docIds are
+    int32): decode(encode(v)) == v and ends[-1] == len(buf)."""
+    v = np.asarray(values, dtype=np.uint64)
+    buf, ends = encode(v)
+    np.testing.assert_array_equal(decode(buf), v)
+    if len(v):
+        assert ends[-1] == len(buf)
+    assert len(ends) == len(v)
 
 
 @st.composite

@@ -47,8 +47,7 @@ from .codec import (
     FWD_TERM,
     POS_FIELD,
     RUNS_SCHEMA,
-    encode_codes_to_runs,
-    encode_multi_part_runs,
+    encode_runs,
     merge_runs,
 )
 from .hashing import fnv1a64
@@ -128,7 +127,7 @@ def meta_field_runs_multi(
         o = np.lexsort((d, codes, p))
         dict_terms = pc.binary_join_element_wise(pa.scalar(field + "\x1f"), denc.dictionary, "")
         out.append(
-            encode_multi_part_runs(
+            encode_runs(
                 p[o], codes[o], d[o], np.ones(len(o), dtype=np.int64),
                 dl_all[rows[o]], dict_terms,
             )
@@ -206,7 +205,7 @@ def paired_latest_runs(
             pa.scalar(paired_latest_field(a, b) + "\x1f"), ea.dictionary, ""
         )
         out.append(
-            encode_codes_to_runs(
+            encode_runs(
                 part,
                 va_codes[o2],
                 docs[o2],
@@ -255,7 +254,7 @@ def composite_runs(
             pa.scalar(name + "\x1f"), enc.dictionary, ""
         )
         out.append(
-            encode_codes_to_runs(
+            encode_runs(
                 part,
                 codes[o],
                 docs[o],
@@ -693,7 +692,7 @@ class FileIndexer:
                 pa.scalar(TEXT_FIELD + "\x1f"), denc.dictionary, ""
             )
             runs.append(
-                encode_multi_part_runs(
+                encode_runs(
                     p2[starts], c2[starts], docid_of_row[rs], tf,
                     dl_all[rs], dict_terms,
                 )
@@ -705,7 +704,7 @@ class FileIndexer:
                     pa.scalar(POS_FIELD + "\x1f"), denc.dictionary, ""
                 )
                 runs.append(
-                    encode_multi_part_runs(
+                    encode_runs(
                         p2, c2, docid_of_row[r2], pos2, dl_all[r2],
                         pos_terms, strict=False,
                     )
@@ -1204,7 +1203,8 @@ def build_index(
 # forward table is extended. Per-partition manifests record each applied
 # epoch (a fingerprint of the new file list), so a crashed or repeated
 # extend skips partitions that already contain the epoch — the sip-cursor
-# analogue.
+# analogue. A partition that crashed between its postings replace and its
+# manifest replace is refused, not merged twice.
 
 
 def _epoch_id(files: list[str], metas: list[dict]) -> str:
@@ -1217,9 +1217,28 @@ def _epoch_id(files: list[str], metas: list[dict]) -> str:
     return h.hexdigest()[:16]
 
 
+def _check_committed(part: int, n_docs: int, postings: pa.Table, forward: pa.Table) -> None:
+    """Refuse a partition whose files on disk are ahead of its manifest.
+
+    ``finalize_segment`` replaces the postings, then the forward table, then
+    the manifest; an extend that crashed in between leaves new docIds (≥ the
+    committed ``n_docs``) under the old manifest, and merging the epoch's
+    runs onto them again would duplicate them. Metadata only: no decode."""
+    last = pc.max(postings["last_doc"]).as_py()  # None when empty
+    if (last is not None and last >= n_docs) or forward.num_rows != n_docs:
+        raise RuntimeError(
+            f"part={part:05d} does not match its committed manifest (n_docs={n_docs}, "
+            f"largest posting doc {last}, {forward.num_rows} forward rows): an "
+            "interrupted extend left it half-written; rebuild the partition "
+            "before extending the index"
+        )
+
+
 class SegmentExtender:
     """map_groups stage of extend_index: existing segment + new runs →
-    rewritten segment (manifest last, epoch appended)."""
+    rewritten segment (manifest last, epoch appended). A partition whose
+    files are ahead of its committed manifest is refused
+    (``_check_committed``)."""
 
     def __init__(self, index_dir: str, new_docs_by_part: dict[int, int], epoch: str,
                  lineage: dict):
@@ -1240,6 +1259,9 @@ class SegmentExtender:
         old_manifest = pt.manifest
         if old_manifest is not None:
             old_post = pt.postings_table()
+            old_fwd = pt.forward_table()
+            old_n = old_manifest["metrics"]["n_docs"]
+            _check_committed(part, old_n, old_post, old_fwd)
             # pairedLatest rows are partition-global (latest-per-pair) —
             # appended docs can displace them, so drop and recompute below.
             # Composite rows are recomputed from the merged forward too (the
@@ -1251,7 +1273,6 @@ class SegmentExtender:
                 old_post = old_post.filter(
                     pc.invert(pc.starts_with(old_post["term"], prefix))
                 )
-            old_fwd = pt.forward_table()
             all_runs = pa.concat_tables([old_post, new_runs]) if new_runs.num_rows else old_post
             forward = (
                 pa.concat_tables([old_fwd, new_fwd]).combine_chunks()
@@ -1259,7 +1280,6 @@ class SegmentExtender:
                 else old_fwd
             )
             epochs = list(old_manifest["lineage"].get("epochs", []))
-            old_n = old_manifest["metrics"]["n_docs"]
         else:
             all_runs, forward, epochs, old_n = new_runs, new_fwd, [], 0
         n_docs = old_n + int(self.new_docs_by_part.get(part, 0))
@@ -1578,7 +1598,7 @@ def compact_partition(index_dir: str, part: int) -> dict:
         )
         docs = np.concatenate([e[1] for e in entries])
         tfs = np.concatenate([e[2] for e in entries])
-        return encode_codes_to_runs(
+        return encode_runs(
             part, codes, docs, tfs, fwd_dl[docs], dict_terms, strict=strict,
         )
     out = pa.concat_tables([_batch(norm, True), _batch(pos, False)])

@@ -14,14 +14,20 @@ a Ray-Data-friendly immutable layout (per BASELINE.json north star):
 * per-posting ``df`` / ``ttf`` / ``max_tf`` (df = Roaring cardinality,
   ttf = the reference's global Σtf row — the TF-IDF denominator).
 
-Everything here is numpy-vectorized over whole Arrow batches: a batch of
-(part, term, doc, tf) triples becomes a batch of encoded *runs* in O(cols)
-numpy passes, with no per-term Python loop.  Runs produced from different
-input batches cover disjoint docId ranges (each batch is a contiguous slice
-of a partition's docId order), so the merge stage can concatenate encoded
-runs per term by *offset subsampling* — no decode, no per-term loop — the
-Ray-native analogue of the reference's LSM append+compact
-(MiruLocalHostedPartition.java:1083-1101).
+One path per job, each numpy-vectorized over whole Arrow batches with no
+per-term Python loop:
+
+* **encode** — ``encode_runs``: a batch of (part, term code, doc, tf)
+  triples becomes a batch of encoded *runs*, one per (part, term);
+* **decode** — ``decode_posting`` decodes a whole posting, and
+  ``decode_tf_range`` only the tf values of a block range (the query
+  engine's lazy-tf path);
+* **merge** — ``merge_runs``: runs produced from different input batches
+  cover disjoint docId ranges (each batch is a contiguous slice of a
+  partition's docId order, and an extend appends past the committed doc
+  count), so the runs of a term concatenate by *offset subsampling* — no
+  decode — the Ray-native analogue of the reference's LSM append+compact
+  (MiruLocalHostedPartition.java:1083-1101). Overlapping runs raise.
 """
 
 from __future__ import annotations
@@ -73,9 +79,8 @@ RUNS_SCHEMA = pa.schema(
         ("blk_max_tf", pa.large_list(pa.int32())),
         ("blk_min_dl", pa.large_list(pa.int32())),
         # per-block END byte offsets into doc_bytes / tf_bytes (run-relative):
-        # block i's bytes are [end[i-1], end[i]) — enables partial decode of a
-        # block range without touching the rest of a (multi-GB at 10^12-turn
-        # scale) posting
+        # block i's bytes are [end[i-1], end[i]) — decode_tf_range reads a
+        # block range's tf bytes without touching the rest of the posting
         ("blk_doc_end", pa.large_list(pa.int64())),
         ("blk_tf_end", pa.large_list(pa.int64())),
     ]
@@ -164,8 +169,8 @@ def _reduceat(op, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return op.reduceat(values, starts)
 
 
-def _offsets_and_data(arr: pa.Array) -> tuple[np.ndarray, np.ndarray, int]:
-    """(offsets:int64[n+1] absolute, data/values buffer view, value_offset)."""
+def _offsets_and_data(arr: pa.Array) -> np.ndarray:
+    """The absolute offsets (int64[n+1]) of a binary, string or list array."""
     typ = arr.type
     if pa.types.is_large_binary(typ) or pa.types.is_large_string(typ):
         off = np.frombuffer(arr.buffers()[1], dtype=np.int64)
@@ -181,125 +186,39 @@ def _offsets_and_data(arr: pa.Array) -> tuple[np.ndarray, np.ndarray, int]:
     return off
 
 
-def encode_triples_to_runs(
-    part: np.ndarray,
-    term: pa.Array,
+def encode_runs(
+    part: int | np.ndarray,
+    codes: np.ndarray,
     doc: np.ndarray,
     tf: np.ndarray,
     dl: np.ndarray,
+    dict_terms: pa.Array,
+    strict: bool = True,
 ) -> pa.Table:
-    """Encode a batch of (part, term, doc, tf, dl) triples — ALREADY sorted by
-    (part, term, doc), doc strictly increasing within each (part, term) — into
-    one posting *run* per (part, term) with block-max metadata.
+    """Encode (part, code, doc, tf, dl) triples — sorted by (part, code, doc)
+    — into one posting *run* per (part, code) with block-max metadata.
 
-    ``dl`` is the document length of ``doc`` (needed for the BM25 block upper
-    bound ``min_dl``).  Fully vectorized; no per-term loop.
-    """
+    ``part`` is one partition id or an array of them; ``dict_terms[code]``
+    is the full term key (field prefix applied), so term strings
+    materialize once per RUN via a dictionary take. ``dl`` is the document
+    length of ``doc`` (the BM25 block upper bound ``min_dl``). Doc ids must
+    increase strictly within a run; ``strict=False`` permits repeats (delta
+    0) — the positional-index occurrence streams (POS_FIELD). Fully
+    vectorized; no per-term loop."""
     n = len(doc)
     if n == 0:
         return RUNS_SCHEMA.empty_table()
-    if isinstance(term, pa.ChunkedArray):
-        term = term.combine_chunks()
+    part = np.broadcast_to(np.asarray(part, dtype=np.int64), (n,))
+    codes = np.asarray(codes, dtype=np.int64)
     doc = np.asarray(doc, dtype=np.int64)
     tf = np.asarray(tf, dtype=np.int64)
     dl = np.asarray(dl, dtype=np.int64)
-    part = np.asarray(part, dtype=np.int64)
-
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    if n > 1:
-        same_term = pc.equal(term.slice(1), term.slice(0, n - 1)).to_numpy(zero_copy_only=False)
-        new_run[1:] = (part[1:] != part[:-1]) | ~same_term
-    run_starts = np.flatnonzero(new_run)
-    term_per_run = term.take(pa.array(run_starts)).cast(pa.large_string())
-    return _encode_runs(part, term_per_run, doc, tf, dl, new_run, run_starts)
-
-
-def encode_codes_to_runs(
-    part: int,
-    codes: np.ndarray,
-    doc: np.ndarray,
-    tf: np.ndarray,
-    dl: np.ndarray,
-    dict_terms: pa.Array,
-    strict: bool = True,
-) -> pa.Table:
-    """Integer-coded fast path: triples sorted by (code, doc), one partition.
-    ``dict_terms[code]`` is the full term key string (prefix already applied).
-    Avoids all per-triple string work — term strings materialize once per RUN
-    via a dictionary take.
-
-    ``strict=False`` permits repeated docIds within a run (delta 0) — the
-    positional-index occurrence streams (POS_FIELD)."""
-    n = len(doc)
-    if n == 0:
-        return RUNS_SCHEMA.empty_table()
-    codes = np.asarray(codes, dtype=np.int64)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    if n > 1:
-        new_run[1:] = codes[1:] != codes[:-1]
-    run_starts = np.flatnonzero(new_run)
-    term_per_run = dict_terms.take(pa.array(codes[run_starts])).cast(pa.large_string())
-    part_arr = np.full(n, part, dtype=np.int64)
-    return _encode_runs(
-        part_arr,
-        term_per_run,
-        np.asarray(doc, dtype=np.int64),
-        np.asarray(tf, dtype=np.int64),
-        np.asarray(dl, dtype=np.int64),
-        new_run,
-        run_starts,
-        strict,
-    )
-
-
-def encode_multi_part_runs(
-    part: np.ndarray,
-    codes: np.ndarray,
-    doc: np.ndarray,
-    tf: np.ndarray,
-    dl: np.ndarray,
-    dict_terms: pa.Array,
-    strict: bool = True,
-) -> pa.Table:
-    """Multi-partition fast path: triples sorted by (part, code, doc), doc
-    strictly increasing within each (part, code). One call encodes a whole
-    file's token stream across all its partitions."""
-    n = len(doc)
-    if n == 0:
-        return RUNS_SCHEMA.empty_table()
-    part = np.asarray(part, dtype=np.int64)
-    codes = np.asarray(codes, dtype=np.int64)
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
     if n > 1:
         new_run[1:] = (part[1:] != part[:-1]) | (codes[1:] != codes[:-1])
     run_starts = np.flatnonzero(new_run)
     term_per_run = dict_terms.take(pa.array(codes[run_starts])).cast(pa.large_string())
-    return _encode_runs(
-        part,
-        term_per_run,
-        np.asarray(doc, dtype=np.int64),
-        np.asarray(tf, dtype=np.int64),
-        np.asarray(dl, dtype=np.int64),
-        new_run,
-        run_starts,
-        strict,
-    )
-
-
-def _encode_runs(
-    part: np.ndarray,
-    term_per_run: pa.Array,
-    doc: np.ndarray,
-    tf: np.ndarray,
-    dl: np.ndarray,
-    new_run: np.ndarray,
-    run_starts: np.ndarray,
-    strict: bool = True,
-) -> pa.Table:
-    n = len(doc)
     n_runs = len(run_starts)
     run_id = np.cumsum(new_run) - 1
     within = np.arange(n, dtype=np.int64) - run_starts[run_id]
@@ -414,42 +333,6 @@ def decode_posting(
     return docs, tfs
 
 
-def decode_posting_range(
-    doc_bytes: bytes | np.ndarray,
-    tf_bytes: bytes | np.ndarray | None,
-    blk_first: np.ndarray,
-    blk_count: np.ndarray,
-    blk_doc_end: np.ndarray,
-    blk_tf_end: np.ndarray,
-    b_lo: int,
-    b_hi: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Partial decode of blocks [b_lo, b_hi) using the per-block byte
-    offsets — the scale path for multi-GB hot-term postings: only the
-    touched blocks' bytes are read and decoded."""
-    blk_doc_end = np.asarray(blk_doc_end, dtype=np.int64)
-    blk_tf_end = np.asarray(blk_tf_end, dtype=np.int64)
-    d_lo = 0 if b_lo == 0 else int(blk_doc_end[b_lo - 1])
-    d_hi = int(blk_doc_end[b_hi - 1])
-    buf = np.frombuffer(doc_bytes, dtype=np.uint8)[d_lo:d_hi]
-    deltas = varbyte_decode(buf).astype(np.int64)
-    counts = np.asarray(blk_count[b_lo:b_hi], dtype=np.int64)
-    firsts = np.asarray(blk_first[b_lo:b_hi], dtype=np.int64)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    v = deltas
-    v[starts] = firsts
-    c = np.cumsum(v)
-    base = c[starts] - firsts
-    docs = c - np.repeat(base, counts)
-    tfs = None
-    if tf_bytes is not None:
-        t_lo = 0 if b_lo == 0 else int(blk_tf_end[b_lo - 1])
-        t_hi = int(blk_tf_end[b_hi - 1])
-        tfs = varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
-    return docs, tfs
-
-
 def decode_tf_range(
     tf_bytes: bytes | np.ndarray,
     blk_tf_end: np.ndarray,
@@ -468,15 +351,19 @@ def decode_tf_range(
 def merge_runs(runs: pa.Table) -> pa.Table:
     """Merge encoded runs into one posting row per (part, term).
 
-    Runs from different batches cover disjoint, ordered docId ranges, so the
-    merge is a sort by (part, term, first_doc) followed by **offset
-    subsampling**: the concatenated encoded bytes of a term's runs are already
-    contiguous in the sorted table's buffers, so the merged posting's binary
-    value is just a wider offset window.  Zero decode, zero per-term Python.
+    The runs of one (part, term) cover disjoint, ordered docId ranges: every
+    producer encodes a contiguous slice of a partition's docId order, and an
+    extend appends docIds past the committed ``n_docs`` (the reference's
+    append-only stream-order ids, LabTimeIdIndex.java:96). So the merge is a
+    sort by (part, term, first_doc) followed by **offset subsampling**: the
+    concatenated encoded bytes of a term's runs are already contiguous in
+    the sorted table's buffers, so the merged posting's binary value is just
+    a wider offset window. Zero decode, zero per-term Python.
 
-    Falls back to decode→re-encode for any group whose run ranges overlap
-    (cannot happen in the standard pipeline; kept for robustness — mirrors
-    the reference's read-modify-write path LabInvertedIndex.java:423-434).
+    Runs whose docId ranges overlap raise ``ValueError`` naming the part and
+    the term: they mean a producer broke that invariant (say, a crashed
+    extend's postings merged under its old manifest), and no re-encode can
+    tell which copy of a doc is the right one.
     """
     if runs.num_rows == 0:
         return RUNS_SCHEMA.empty_table()
@@ -513,32 +400,17 @@ def merge_runs(runs: pa.Table) -> pa.Table:
 
     overlap = (~new_group) & (first_doc <= np.concatenate([[np.int64(-1)], last_doc[:-1]]))
     if overlap.any():
-        # slow path: rebuild offending groups from decoded triples
-        bad_gid = np.unique((np.cumsum(new_group) - 1)[overlap])
-        gid = np.cumsum(new_group) - 1
-        bad_mask = np.isin(gid, bad_gid)
-        good = _merge_sorted_runs(t.filter(pa.array(~bad_mask)))
-        bad = _reencode_overlapping(t.filter(pa.array(bad_mask)))
-        merged = pa.concat_tables([good, bad]).combine_chunks()
-        return merged.take(
-            pc.sort_indices(merged, sort_keys=[("part", "ascending"), ("term", "ascending")])
+        i = int(np.flatnonzero(overlap)[0])
+        raise ValueError(
+            f"overlapping posting runs for part {int(part[i])} term {t['term'][i].as_py()!r}: "
+            f"a run starting at doc {int(first_doc[i])} follows one ending at doc "
+            f"{int(last_doc[i - 1])}"
         )
     return _merge_sorted_runs(t, new_group)
 
 
-def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray | None = None) -> pa.Table:
-    if t.num_rows == 0:
-        return RUNS_SCHEMA.empty_table()
-    t = t.combine_chunks()
+def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray) -> pa.Table:
     n = t.num_rows
-    if new_group is None:
-        part = t["part"].to_numpy(zero_copy_only=False).astype(np.int64)
-        term = t["term"].combine_chunks() if isinstance(t["term"], pa.ChunkedArray) else t["term"]
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        if n > 1:
-            same_term = pc.equal(term.slice(1), term.slice(0, n - 1)).to_numpy(zero_copy_only=False)
-            new_group[1:] = (part[1:] != part[:-1]) | ~same_term
     go = np.flatnonzero(new_group)
     n_groups = len(go)
     bounds = np.empty(n_groups + 1, dtype=np.int64)
@@ -612,71 +484,3 @@ def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray | None = None) -> pa.T
         },
         schema=RUNS_SCHEMA,
     )
-
-
-def _pos_rows_to_runs(p: int, term: str, docs: np.ndarray, pos: np.ndarray,
-                      dls: np.ndarray) -> pa.Table:
-    """Re-encode one POS_FIELD occurrence stream (repeated docIds legal)."""
-    n = len(docs)
-    return encode_codes_to_runs(
-        int(p), np.zeros(n, dtype=np.int64), docs, pos, dls,
-        pa.array([term], type=pa.large_string()), strict=False,
-    )
-
-
-def _reencode_overlapping(t: pa.Table) -> pa.Table:
-    """Decode overlapping runs to triples and re-encode (robustness path)."""
-    parts_out = []
-    t = t.combine_chunks()
-    part = t["part"].to_numpy(zero_copy_only=False)
-    terms = t["term"].to_pylist()
-    for key in sorted(set(zip(part.tolist(), terms))):
-        p, term = key
-        docs_all, tfs_all, dls_all = [], [], []
-        for i in range(t.num_rows):
-            if part[i] != p or terms[i] != term:
-                continue
-            row = t.slice(i, 1)
-            docs, tfs = decode_posting(
-                row["doc_bytes"][0].as_py(),
-                row["tf_bytes"][0].as_py(),
-                np.asarray(row["blk_first"][0].as_py()),
-                np.asarray(row["blk_count"][0].as_py()),
-            )
-            dls = np.repeat(
-                np.asarray(row["blk_min_dl"][0].as_py(), dtype=np.int64),
-                np.asarray(row["blk_count"][0].as_py(), dtype=np.int64),
-            )
-            docs_all.append(docs)
-            tfs_all.append(tfs)
-            dls_all.append(dls)
-        docs = np.concatenate(docs_all)
-        tfs = np.concatenate(tfs_all)
-        dls = np.concatenate(dls_all)
-        if term.startswith(POS_FIELD):
-            # positional occurrence streams: repeated docIds are the DATA
-            # (one entry per occurrence, tf slot = position) — dedupe would
-            # destroy them. Re-sort by (doc, position) and keep everything.
-            order = np.lexsort((tfs, docs))
-            docs, tfs, dls = docs[order], tfs[order], dls[order]
-            parts_out.append(
-                _pos_rows_to_runs(p, term, docs, tfs, dls)
-            )
-            continue
-        order = np.argsort(docs, kind="stable")
-        docs, tfs, dls = docs[order], tfs[order], dls[order]
-        # collapse duplicate docIds (keep max tf — upsert semantics)
-        keep = np.empty(len(docs), dtype=bool)
-        keep[:-1] = docs[:-1] != docs[1:]
-        keep[-1] = True
-        docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-        parts_out.append(
-            encode_triples_to_runs(
-                np.full(len(docs), p, dtype=np.int64),
-                pa.array([term] * len(docs), type=pa.large_string()),
-                docs,
-                tfs,
-                dls,
-            )
-        )
-    return pa.concat_tables(parts_out) if parts_out else RUNS_SCHEMA.empty_table()

@@ -10,7 +10,7 @@ each a normal ``build_index`` output, possibly on a different node), and a
 ``FederatedEngine`` queries them as one logical index. An index dir plays
 the role a remote host's hosted-partition set plays in the reference; the
 cross-index merge is the SAME two-pointer ordered merge
-(``search._merge_two``, ties → current) the single-index engine already
+(``search._merge_hits``, ties → current) the single-index engine already
 runs across its partitions, so federated answers are bit-identical to the
 walk that visits every (index, partition) pair in order.
 
@@ -30,7 +30,7 @@ Scale notes:
 
 from __future__ import annotations
 
-from .search import Hit, SearchEngine, _merge_collapse_two, _merge_two
+from .search import Hit, SearchEngine, _merge_hits
 
 _INF = (1 << 63) - 1
 
@@ -133,16 +133,11 @@ class FederatedEngine:
         collapse = kw.get("collapse")
         merged: list[Hit] = []
         found = 0
-        for n, (hits, f) in enumerate(results):
+        for hits, f in results:
             found += f
-            if n == 0:
-                merged = hits[:k]
-            elif collapse is not None:
-                # per-engine answers are already one-per-key; dedup keys
-                # ACROSS engines too (better-ordered occurrence wins)
-                merged = _merge_collapse_two(merged, hits, k, collapse)
-            else:
-                merged = _merge_two(merged, hits, k)
+            # per-engine answers are already one-per-key; a collapse merge
+            # dedups keys ACROSS engines too (better-ordered occurrence wins)
+            merged = _merge_hits(merged, hits, k, collapse)
         self.last_engines_asked = len(active)
         self.last_parts_asked = sum(self.engines[i].last_parts_asked for i in active)
         return merged, found
@@ -176,12 +171,7 @@ class FederatedEngine:
             found += f
             asked += 1
             parts += self.engines[i].last_parts_asked
-            if j == 0:
-                merged = hits[:k]
-            elif collapse is not None:
-                merged = _merge_collapse_two(merged, hits, k, collapse)
-            else:
-                merged = _merge_two(merged, hits, k)
+            merged = _merge_hits(merged, hits, k, collapse)
             if len(merged) >= k and merged[k - 1].ts > rest_max[j]:
                 break
         self.last_engines_asked = asked

@@ -1575,19 +1575,8 @@ class SearchEngine:
         for part in self.parts:
             try:
                 dfs = one(self.index_dir, part)
-            except Exception:  # noqa: BLE001 — replica failover (suggest path)
-                if not self.replicas:
-                    raise
-                dfs = None
-                last = None
-                for rep in self.replicas:
-                    try:
-                        dfs = one(rep, part)
-                        break
-                    except Exception as e:  # noqa: BLE001
-                        last = e
-                if dfs is None:
-                    raise last
+            except Exception as e:  # noqa: BLE001 — replica failover (suggest path)
+                dfs = self._replica_answer(one, part, {}, e)
             for key, n in dfs.items():
                 t = key[sep_len:]
                 df[t] = df.get(t, 0) + n

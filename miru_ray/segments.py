@@ -511,10 +511,20 @@ def partition(index_dir: str, part: int) -> Partition:
         return new
 
 
+# the posting columns a query decodes (search.PostingSource). The other
+# five (part, first/last doc, max_tf, blk_doc_end) serve the merge and the
+# zone-map reads; decoding them too made a row-group read about 1.6x slower
+POSTING_COLUMNS = [
+    "term", "doc_bytes", "tf_bytes", "n_blocks", "ttf", "df",
+    "blk_first", "blk_count", "blk_max_tf", "blk_min_dl", "blk_tf_end",
+]
+
+
 def read_postings_for_terms(index_dir: str, part: int, keys: list[str]) -> pa.Table:
-    """The posting rows for ``keys`` in term order (absent keys have none)."""
+    """The ``POSTING_COLUMNS`` of the posting rows for ``keys``, in term
+    order (absent keys have none)."""
     td = partition(index_dir, part).dictionary
-    return td.read(td.find(keys))
+    return td.read(td.find(keys), POSTING_COLUMNS)
 
 
 def read_term_dfs(index_dir: str, part: int, keys: list[str]) -> dict[str, int]:

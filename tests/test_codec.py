@@ -9,7 +9,7 @@ import pytest
 from miru_ray.codec import (
     BLOCK_SIZE,
     decode_posting,
-    encode_triples_to_runs,
+    encode_runs,
     merge_runs,
     varbyte_decode,
     varbyte_encode,
@@ -34,13 +34,13 @@ def test_varbyte_small_values_one_byte():
 
 
 def _encode_one_term(docs, tfs, dls, part=0, term="x"):
-    n = len(docs)
-    return encode_triples_to_runs(
-        np.full(n, part, dtype=np.int64),
-        pa.array([term] * n, type=pa.large_string()),
-        np.asarray(docs, dtype=np.int64),
-        np.asarray(tfs, dtype=np.int64),
-        np.asarray(dls, dtype=np.int64),
+    return encode_runs(
+        part,
+        np.zeros(len(docs), dtype=np.int64),
+        docs,
+        tfs,
+        dls,
+        pa.array([term], type=pa.large_string()),
     )
 
 
@@ -77,27 +77,29 @@ def test_encode_decode_roundtrip(n):
 
 
 def test_multi_term_multi_part_runs():
-    # interleaved (part, term) groups, sorted by (part, term, doc)
-    parts, terms, docs, tfs, dls = [], [], [], [], []
+    # interleaved (part, term) groups, sorted by (part, term code, doc)
+    parts, codes, docs, tfs, dls = [], [], [], [], []
     rng = np.random.default_rng(7)
     expect = {}
+    dict_terms = ["aa", "bb", "cc"]
     for p in [0, 1]:
-        for term in ["aa", "bb", "cc"]:
+        for code, term in enumerate(dict_terms):
             n = int(rng.integers(1, 300))
             d = np.sort(rng.choice(2000, n, replace=False))
             f = rng.integers(1, 9, n)
             expect[(p, term)] = (d, f)
             parts.append(np.full(n, p))
-            terms += [term] * n
+            codes.append(np.full(n, code))
             docs.append(d)
             tfs.append(f)
             dls.append(rng.integers(1, 100, n))
-    runs = encode_triples_to_runs(
+    runs = encode_runs(
         np.concatenate(parts),
-        pa.array(terms, type=pa.large_string()),
+        np.concatenate(codes),
         np.concatenate(docs),
         np.concatenate(tfs),
         np.concatenate(dls),
+        pa.array(dict_terms, type=pa.large_string()),
     )
     assert runs.num_rows == 6
     for i in range(runs.num_rows):

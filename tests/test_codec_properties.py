@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from miru_ray.codec import (
     RUNS_SCHEMA,
     decode_posting,
-    encode_triples_to_runs,
+    decode_tf_range,
+    encode_runs,
     merge_runs,
     varbyte_decode,
     varbyte_encode,
@@ -65,17 +66,17 @@ def posting(draw):
     return docs, tfs, dls
 
 
+def _encode(docs, tfs, dls):
+    """One run of the single term "x" in partition 0."""
+    return encode_runs(0, np.zeros(len(docs), dtype=np.int64), docs, tfs, dls,
+                       pa.array(["x"], type=pa.large_string()))
+
+
 @given(posting())
 @settings(max_examples=100, deadline=None)
 def test_posting_encode_decode_identity(p):
     docs, tfs, dls = p
-    t = encode_triples_to_runs(
-        np.zeros(len(docs), dtype=np.int64),
-        pa.array(["x"] * len(docs), type=pa.large_string()),
-        docs,
-        tfs,
-        dls,
-    )
+    t = _encode(docs, tfs, dls)
     assert t.num_rows == 1
     d, f = decode_posting(
         t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(),
@@ -106,15 +107,7 @@ def test_merge_runs_split_invariance(p, cut_points):
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            parts.append(
-                encode_triples_to_runs(
-                    np.zeros(hi - lo, dtype=np.int64),
-                    pa.array(["x"] * (hi - lo), type=pa.large_string()),
-                    docs[lo:hi],
-                    tfs[lo:hi],
-                    dls[lo:hi],
-                )
-            )
+            parts.append(_encode(docs[lo:hi], tfs[lo:hi], dls[lo:hi]))
     merged = merge_runs(pa.concat_tables(parts)) if parts else RUNS_SCHEMA.empty_table()
     assert merged.num_rows == 1
     d, f = decode_posting(
@@ -130,10 +123,9 @@ def test_merge_runs_split_invariance(p, cut_points):
 @given(posting(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_block_range_decode(p, data):
-    """decode_posting_range over any block window == the corresponding slice
-    of the full decode — including after a multi-run merge."""
-    from miru_ray.codec import decode_posting_range
-
+    """decode_tf_range over any block window == the corresponding slice of
+    the full decode, after a merge of arbitrary consecutive runs; the
+    merged block byte-end offsets close on the posting's bytes."""
     docs, tfs, dls = p
     cuts = sorted(
         set(
@@ -145,30 +137,23 @@ def test_block_range_decode(p, data):
     )
     bounds = [0] + [c for c in cuts if c < len(docs)] + [len(docs)]
     parts = [
-        encode_triples_to_runs(
-            np.zeros(hi - lo, dtype=np.int64),
-            pa.array(["x"] * (hi - lo), type=pa.large_string()),
-            docs[lo:hi], tfs[lo:hi], dls[lo:hi],
-        )
+        _encode(docs[lo:hi], tfs[lo:hi], dls[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
     t = merge_runs(pa.concat_tables(parts))
     assert t.num_rows == 1
+    tf_bytes = t["tf_bytes"][0].as_py()
     blk_first = np.asarray(t["blk_first"][0].as_py())
     blk_count = np.asarray(t["blk_count"][0].as_py())
-    blk_doc_end = np.asarray(t["blk_doc_end"][0].as_py())
     blk_tf_end = np.asarray(t["blk_tf_end"][0].as_py())
     n_blocks = len(blk_first)
-    assert blk_doc_end[-1] == len(t["doc_bytes"][0].as_py())
-    assert blk_tf_end[-1] == len(t["tf_bytes"][0].as_py())
+    assert t["blk_doc_end"][0].as_py()[-1] == len(t["doc_bytes"][0].as_py())
+    assert blk_tf_end[-1] == len(tf_bytes)
+    d, _ = decode_posting(t["doc_bytes"][0].as_py(), None, blk_first, blk_count)
+    np.testing.assert_array_equal(d, docs)
     b_lo = data.draw(st.integers(min_value=0, max_value=n_blocks - 1))
     b_hi = data.draw(st.integers(min_value=b_lo + 1, max_value=n_blocks))
-    d, f = decode_posting_range(
-        t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(),
-        blk_first, blk_count, blk_doc_end, blk_tf_end, b_lo, b_hi,
-    )
+    f = decode_tf_range(tf_bytes, blk_tf_end, b_lo, b_hi)
     starts = np.concatenate([[0], np.cumsum(blk_count)])
-    lo_v, hi_v = int(starts[b_lo]), int(starts[b_hi])
-    np.testing.assert_array_equal(d, docs[lo_v:hi_v])
-    np.testing.assert_array_equal(f, tfs[lo_v:hi_v])
+    np.testing.assert_array_equal(f, tfs[int(starts[b_lo]):int(starts[b_hi])])

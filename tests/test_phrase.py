@@ -18,7 +18,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from miru_ray.build import build_index, extend_index
-from miru_ray.codec import POS_FIELD, decode_posting, encode_codes_to_runs, merge_runs
+from miru_ray.codec import POS_FIELD, decode_posting, encode_runs, merge_runs
 from miru_ray.filters import QueryParseError, parse_query
 from miru_ray.oracle import build_oracle_partitions, oracle_search
 from miru_ray.search import SearchEngine
@@ -224,32 +224,27 @@ def test_phrase_field_restriction_and_prefixed_forms(pos_engine, tiny_rows, tiny
     assert fa == fb and [(h.part, h.doc_id) for h in a] == [(h.part, h.doc_id) for h in b]
 
 
-def test_overlap_reencode_preserves_occurrences():
-    """merge_runs' overlapping-run fallback must NOT collapse repeated
-    docIds for POS_FIELD streams — duplicates are the per-occurrence data."""
-    import pyarrow as pa
-
-    from miru_ray.codec import merge_runs
-
-    dict_terms = pa.array([POS_FIELD + "\x1fterm"], type=pa.large_string())
-    # two runs covering the SAME doc range → forces _reencode_overlapping
-    d1 = np.array([3, 3, 7], dtype=np.int64)
-    p1 = np.array([0, 5, 2], dtype=np.int64)
-    d2 = np.array([3, 7, 7], dtype=np.int64)
-    p2 = np.array([9, 0, 4], dtype=np.int64)
+def test_merge_runs_rejects_overlapping_runs():
+    """Two runs of one (part, term) whose docId ranges overlap raise a
+    ValueError naming the part and the term — for a text posting and for a
+    POS_FIELD occurrence stream, whose repeated docIds are its data. Runs
+    that only touch (a text run starting one doc after the previous one
+    ends) still merge."""
     dl = np.full(3, 10, dtype=np.int64)
     z = np.zeros(3, dtype=np.int64)
-    r1 = encode_codes_to_runs(0, z, d1, p1, dl, dict_terms, strict=False)
-    r2 = encode_codes_to_runs(0, z, d2, p2, dl, dict_terms, strict=False)
-    merged = merge_runs(pa.concat_tables([r1, r2]))
-    got_d, got_p = decode_posting(
-        merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),
-        np.asarray(merged["blk_first"][0].as_py()),
-        np.asarray(merged["blk_count"][0].as_py()),
-    )
-    assert list(zip(got_d.tolist(), got_p.tolist())) == [
-        (3, 0), (3, 5), (3, 9), (7, 0), (7, 2), (7, 4)
-    ]
+    for term, strict, d1, d2 in [
+        ("text\x1fterm", True, [3, 5, 7], [7, 8, 9]),
+        (POS_FIELD + "\x1fterm", False, [3, 3, 7], [3, 7, 7]),
+    ]:
+        dict_terms = pa.array([term], type=pa.large_string())
+        r1 = encode_runs(2, z, np.array(d1), np.array([0, 5, 2]), dl, dict_terms, strict=strict)
+        r2 = encode_runs(2, z, np.array(d2), np.array([9, 0, 4]), dl, dict_terms, strict=strict)
+        with pytest.raises(ValueError, match=r"part 2 term .*term'"):
+            merge_runs(pa.concat_tables([r2, r1]))
+    dict_terms = pa.array(["text\x1fterm"], type=pa.large_string())
+    r1 = encode_runs(2, z, np.array([3, 5, 7]), z + 1, dl, dict_terms)
+    r2 = encode_runs(2, z, np.array([8, 9, 12]), z + 1, dl, dict_terms)
+    assert merge_runs(pa.concat_tables([r2, r1]))["df"].to_pylist() == [6]
 
 
 def test_codec_nonstrict_roundtrip():
@@ -265,7 +260,7 @@ def test_codec_nonstrict_roundtrip():
     codes = np.zeros(len(doc), dtype=np.int64)
     dict_terms = pa.array([POS_FIELD + "\x1fterm"], type=pa.large_string())
     dl = np.full(len(doc), 10_000, dtype=np.int64)
-    runs = encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, strict=False)
+    runs = encode_runs(0, codes, doc, pos, dl, dict_terms, strict=False)
     got_d, got_p = decode_posting(
         runs["doc_bytes"][0].as_py(), runs["tf_bytes"][0].as_py(),
         np.asarray(runs["blk_first"][0].as_py()), np.asarray(runs["blk_count"][0].as_py()),
@@ -274,15 +269,15 @@ def test_codec_nonstrict_roundtrip():
     np.testing.assert_array_equal(got_p, pos)
     # strict mode still rejects duplicates
     with pytest.raises(ValueError):
-        encode_codes_to_runs(0, codes, doc, pos, dl, dict_terms, strict=True)
+        encode_runs(0, codes, doc, pos, dl, dict_terms, strict=True)
     # merge of two disjoint-docId-range runs concatenates losslessly
     half = len(doc) // 2
     while half < len(doc) and doc[half] == doc[half - 1]:
         half += 1
-    r1 = encode_codes_to_runs(0, codes[:half], doc[:half], pos[:half], dl[:half],
-                              dict_terms, strict=False)
-    r2 = encode_codes_to_runs(0, codes[half:], doc[half:], pos[half:], dl[half:],
-                              dict_terms, strict=False)
+    r1 = encode_runs(0, codes[:half], doc[:half], pos[:half], dl[:half],
+                     dict_terms, strict=False)
+    r2 = encode_runs(0, codes[half:], doc[half:], pos[half:], dl[half:],
+                     dict_terms, strict=False)
     merged = merge_runs(pa.concat_tables([r1, r2]))
     md, mp = decode_posting(
         merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),

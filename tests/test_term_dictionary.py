@@ -20,8 +20,8 @@ import miru_ray.segments as SG
 from miru_ray.build import build_index
 from miru_ray.plugins import _postings_meta, term_dfs_partition
 from miru_ray.segments import (
-    FIELD_SEP, part_dir, partition, read_postings_for_terms, read_term_between,
-    read_term_dfs, read_term_range,
+    FIELD_SEP, POSTING_COLUMNS, part_dir, partition, read_postings_for_terms,
+    read_term_between, read_term_dfs, read_term_range,
 )
 
 RG = 1024  # the build's row-group size
@@ -58,7 +58,7 @@ def ref_prefix(index_dir, part, field, prefix):
 
 def assert_rows(index_dir, part, keys):
     got = read_postings_for_terms(index_dir, part, keys)
-    want = ref_rows(index_dir, part, keys)
+    want = ref_rows(index_dir, part, keys, POSTING_COLUMNS)
     assert got.schema.equals(want.schema)
     assert got.equals(want), sorted(set(keys))[:5]
     dfs = read_term_dfs(index_dir, part, keys)
@@ -100,17 +100,31 @@ def _handwritten_terms() -> list[str]:
 @pytest.fixture(scope="module")
 def handwritten(tmp_path_factory):
     """An index dir whose only partition is a hand-written postings.parquet
-    (row groups of 1024, no manifest): term + df + first/last doc columns."""
+    (row groups of 1024, no manifest): the term, first/last doc columns and
+    every column a posting read returns, with per-row filler values."""
     d = str(tmp_path_factory.mktemp("idx_handwritten"))
     terms = _handwritten_terms()
     assert len(terms) > 4 * RG
     n = len(terms)
+    i = np.arange(n)
+
+    def blocks(vals):
+        return pa.array([[int(v), int(v) + 1] for v in vals], pa.large_list(pa.int32()))
+
     t = pa.table({
         "term": pa.array(terms, pa.large_string()),
-        "first_doc": pa.array(np.arange(n) % 97, pa.int32()),
-        "last_doc": pa.array(np.arange(n) % 97 + 5, pa.int32()),
-        "df": pa.array(np.arange(n) % 13 + 1, pa.int32()),
+        "first_doc": pa.array(i % 97, pa.int32()),
+        "last_doc": pa.array(i % 97 + 5, pa.int32()),
+        "df": pa.array(i % 13 + 1, pa.int32()),
+        "ttf": pa.array(i % 17 + 1, pa.int64()),
+        "n_blocks": pa.array(np.full(n, 2), pa.int32()),
         "doc_bytes": pa.array([t.encode() for t in terms], pa.large_binary()),
+        "tf_bytes": pa.array([t.encode()[:3] for t in terms], pa.large_binary()),
+        "blk_first": blocks(i % 97),
+        "blk_count": blocks(i % 5),
+        "blk_max_tf": blocks(i % 7),
+        "blk_min_dl": blocks(i % 11),
+        "blk_tf_end": pa.array([[1, 3]] * n, pa.large_list(pa.int64())),
     })
     os.makedirs(part_dir(d, 0))
     pq.write_table(t, os.path.join(part_dir(d, 0), "postings.parquet"), row_group_size=RG)
@@ -265,7 +279,7 @@ def test_concurrent_reads_from_threads(built):
 
     terms = partition(built, 0).dictionary.terms.tolist()
     sets = [random.Random(i).sample(terms, 25) for i in range(8)]
-    want = [ref_rows(built, 0, ks) for ks in sets]
+    want = [ref_rows(built, 0, ks, POSTING_COLUMNS) for ks in sets]
     errors = []
     stop = threading.Event()
 

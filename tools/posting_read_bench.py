@@ -1,9 +1,9 @@
 """Posting read cost per partition: the ``pyarrow.dataset`` + ``isin``
 filter read against the resident partition's term dictionary
 (``segments.partition(index_dir, part).dictionary``), for the same key
-sets, plus the dictionary's load time and the partition's resident bytes:
-its term dictionary and its forward columns, which the query path loads
-too.
+sets and the posting columns a query reads (``segments.POSTING_COLUMNS``),
+plus the dictionary's load time and the partition's resident bytes: its
+term dictionary and its forward columns, which the query path loads too.
 
     python tools/posting_read_bench.py INDEX_DIR [--sets 20] [--keys 2]
                                        [--reps 3] [--seed 0] [--field text]
@@ -42,7 +42,9 @@ def bench_partition(index_dir: str, part: int, args) -> dict:
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    from miru_ray.segments import FIELD_SEP, Partition, manifest_epoch, part_dir, partition
+    from miru_ray.segments import (
+        FIELD_SEP, POSTING_COLUMNS, Partition, manifest_epoch, part_dir, partition,
+    )
 
     path = os.path.join(part_dir(index_dir, part), "postings.parquet")
     epoch = manifest_epoch(index_dir, part)
@@ -57,10 +59,10 @@ def bench_partition(index_dir: str, part: int, args) -> dict:
 
     def old(keys):
         return pads.dataset(path, format="parquet").to_table(
-            filter=pc.field("term").isin(keys))
+            filter=pc.field("term").isin(keys), columns=POSTING_COLUMNS)
 
     def new(keys):
-        return td.read(td.find(keys))
+        return td.read(td.find(keys), POSTING_COLUMNS)
 
     old_ms, new_ms = [], []
     for keys in sets:

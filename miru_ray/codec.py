@@ -9,7 +9,8 @@ a Ray-Data-friendly immutable layout (per BASELINE.json north star):
 
 * a posting = sorted docIds, **delta + varbyte** encoded in blocks of
   ``BLOCK_SIZE`` docs, with per-block metadata ``(first_doc, count, max_tf,
-  min_dl)`` enabling block-max WAND pruning and skip-decoding;
+  min_dl)``: first_doc and count drive skip-decoding, max_tf and min_dl are
+  block upper-bound metadata that only ``audit`` reads today;
 * tf values varbyte-encoded alongside (the per-doc cardinality store);
 * per-posting ``df`` / ``ttf`` / ``max_tf`` (df = Roaring cardinality,
   ttf = the reference's global Σtf row — the TF-IDF denominator).
@@ -201,7 +202,7 @@ def encode_runs(
     ``part`` is one partition id or an array of them; ``dict_terms[code]``
     is the full term key (field prefix applied), so term strings
     materialize once per RUN via a dictionary take. ``dl`` is the document
-    length of ``doc`` (the BM25 block upper bound ``min_dl``). Doc ids must
+    length of ``doc`` (the per-block ``min_dl``). Doc ids must
     increase strictly within a run; ``strict=False`` permits repeats (delta
     0) — the positional-index occurrence streams (POS_FIELD). Fully
     vectorized; no per-term loop."""

@@ -41,11 +41,10 @@ Rank-identity contract (tested against the pure-python oracle):
 
 BM25 mode (the north star's scoring engine) uses the same machinery with
 idf = ln(1 + (N - df + ½)/(df + ½)) and the k1/b length normalization over
-the per-partition doc-length table. The per-partition ranking kernel lives
-in wand.py: one exact fp32 scorer for every relevance scorer, and one gate
-that sends a flat OR or flat AND of plain terms with no mask to block-max
-pruned top-k (see codec.BLOCK_SIZE) and everything else to full
-evaluation of the match set.
+the per-partition doc-length table. Every ranked partition answer takes
+one path: the whole match set (``match_set``), scored by the one exact fp32
+scorer in wand.py (``term_multipliers`` + ``score_exact``), masked by
+``after``, collapsed or grouped, then cut to the local top-k (``_top_k``).
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from .segments import (
     read_term_range,
     read_tombstones,
 )
-from .wand import F32, block_max_mode, score_exact, term_multipliers, wand_topk
+from .wand import F32, score_exact, term_multipliers
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -241,9 +240,8 @@ class PostingSource:
             n_blocks = t["n_blocks"].to_numpy()
             ttfs = t["ttf"].to_pylist()
             dfs = t["df"].to_pylist()
-            firsts, counts, max_tfs, min_dls, tf_ends = (
-                _list_rows(t[c]) for c in
-                ("blk_first", "blk_count", "blk_max_tf", "blk_min_dl", "blk_tf_end"))
+            firsts, counts, tf_ends = (
+                _list_rows(t[c]) for c in ("blk_first", "blk_count", "blk_tf_end"))
             entries: dict[str, tuple | None] = dict.fromkeys(misses)  # None: absent
             for i, key_str in enumerate(terms):
                 blk_first, blk_count, tf_raw = firsts[i], counts[i], tf_bytes[i]
@@ -254,12 +252,7 @@ class PostingSource:
                 )
                 if not lazy:
                     DECODE_STATS["tf_bytes_decoded"] += len(tf_raw)
-                blocks = {
-                    "first": blk_first,
-                    "count": blk_count,
-                    "max_tf": max_tfs[i],
-                    "min_dl": min_dls[i],
-                }
+                blocks = {"first": blk_first, "count": blk_count}
                 if lazy:
                     blocks["tf_bytes"] = tf_raw
                     blocks["tf_end"] = tf_ends[i]
@@ -611,7 +604,6 @@ def search_partition(
     constraint: Filter | None = None,
     max_wild: int = DEFAULT_MAX_WILDCARD_EXPANSION,
     use_stopwords: bool = False,
-    prune: bool = True,
     authz: tuple[str, tuple[str, ...]] | None = None,
     min_score: float | None = None,
     below_min: int = 0,
@@ -621,9 +613,9 @@ def search_partition(
     group_by: tuple[str, tuple, int] | None = None,
 ) -> dict:
     """One partition's answer with absent report. Returns plain arrays
-    (cheap to ship back from a pool actor). ``prune=False`` forces the
-    full-evaluation path (used by tests to cross-check the block-max pruned
-    path).
+    (cheap to ship back from a pool actor). The whole match set is
+    evaluated and, under a relevance scorer, scored exactly
+    (wand.score_exact) before the local top-k.
 
     ``collapse`` — field collapsing (Lucene CollapsingTopDocsCollector):
     at most one hit per distinct value of the named forward field
@@ -676,20 +668,6 @@ def search_partition(
     src = PostingSource(index_dir, part, specs, max_wild)
     removed = read_tombstones(index_dir, part)
     fwd = forward_columns(index_dir, part)
-
-    plan = block_max_mode(
-        filt, scoring, removed, k=k, prune=prune, constraint=constraint,
-        time_range=time_range, authz=authz, min_score=min_score, after=after,
-        collapse=collapse, group_by=group_by,
-    )
-    if plan is not None:
-        # block-max pruned path (exact; rank-identical by construction)
-        mode, counts = plan
-        docs, scores, found, _pruned = wand_topk(
-            src, counts, k, scoring, n_docs, avg_dl, fwd["dl"], mode=mode
-        )
-        return _top_k(fwd, part, docs, scores, k, found)
-
     collector: dict[tuple[str, str], int] = {}
     answer = match_set(index_dir, part, filt, src, n_docs, fwd, removed,
                        constraint, authz, time_range, collector)
@@ -1154,7 +1132,6 @@ class SearchEngine:
         constraint: Filter | None = None,
         max_wild: int = DEFAULT_MAX_WILDCARD_EXPANSION,
         parallel: bool | None = None,
-        prune: bool = True,
         authz: tuple[str, list[str]] | None = None,
         early_exit: bool = True,
         after: "Hit | tuple[float, int, int, int] | None" = None,
@@ -1184,8 +1161,7 @@ class SearchEngine:
         kwargs = dict(
             query=query, k=k, scoring=scoring, time_range=time_range,
             constraint=constraint, max_wild=max_wild, use_stopwords=use_stop,
-            prune=prune, authz=authz, after=after, synonyms=synonyms,
-            collapse=collapse,
+            authz=authz, after=after, synonyms=synonyms, collapse=collapse,
         )
         active = self._active_parts(time_range)
         if scoring == "time" and k > 0 and len(active) > 1 and early_exit:
@@ -1471,14 +1447,11 @@ class SearchEngine:
             "per_part": per_part,
         }
 
-    def explain(self, query: str, scoring: str = "ref_tfidf",
-                part: int | None = None,
+    def explain(self, query: str, part: int | None = None,
                 max_wild: int = DEFAULT_MAX_WILDCARD_EXPANSION) -> dict:
-        """Query debugging (Lucene IndexSearcher.explain spirit): the parsed
-        spec list, each spec's expansion on one partition (newest by
-        default), per-term posting stats (df, Σtf, block count, lazy-tf),
-        and the execution strategy ``search`` takes there with its default
-        options (the gate sees the partition's tombstones)."""
+        """Query debugging (Lucene IndexSearcher.explain spirit): each
+        spec's expansion on one partition (newest by default) and per-term
+        posting stats (df, Σtf, block count, lazy-tf)."""
         p = self.parts[0] if part is None else part
         use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
         filt = parse_query(query, use_stopwords=use_stop,
@@ -1497,12 +1470,9 @@ class SearchEngine:
                     "n_blocks": len(blocks["first"]) if blocks else 0,
                     "lazy_tf": bool(post is not None and post[1] is None),
                 }
-        plan = block_max_mode(filt, scoring, read_tombstones(self.index_dir, p))
         return {
             "part": p,
             "query": query,
-            "scoring": scoring,
-            "strategy": f"block-max-wand-{plan[0]}" if plan else "full-eval",
             "has_phrase": _has_phrase(filt),
             "expansions": {
                 f"{f}:{v}": list(ts) for (f, v), ts in src.expansions.items()

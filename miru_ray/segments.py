@@ -74,7 +74,10 @@ def numeric_lex(v: int) -> str:
     decimal analogue of the reference's UtilLexMarshaller byte encoding
     (MiruTermComposer.java:130-145), chosen so terms stay printable and
     ANSI-SQL-checkable."""
-    return format(int(np.uint64(np.int64(v)) + _NUM_BIAS), f"0{NUM_LEX_WIDTH}d")
+    v = int(v)
+    if not -(1 << 63) <= v < (1 << 63):
+        raise OverflowError(f"numeric term {v} is outside the int64 range")
+    return format(v + (1 << 63), f"0{NUM_LEX_WIDTH}d")
 
 
 def numeric_lex_array(arr: "pa.Array | pa.ChunkedArray") -> pa.Array:
@@ -512,11 +515,12 @@ def partition(index_dir: str, part: int) -> Partition:
 
 
 # the posting columns a query decodes (search.PostingSource). The other
-# five (part, first/last doc, max_tf, blk_doc_end) serve the merge and the
-# zone-map reads; decoding them too made a row-group read about 1.6x slower
+# seven (part, first/last doc, max_tf, blk_doc_end, blk_max_tf, blk_min_dl)
+# serve the merge, the zone-map reads and audit; decoding them too made a
+# row-group read slower
 POSTING_COLUMNS = [
     "term", "doc_bytes", "tf_bytes", "n_blocks", "ttf", "df",
-    "blk_first", "blk_count", "blk_max_tf", "blk_min_dl", "blk_tf_end",
+    "blk_first", "blk_count", "blk_tf_end",
 ]
 
 

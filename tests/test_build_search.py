@@ -438,21 +438,18 @@ def test_open_pool_holds_no_cpu(index_dir, tiny_transcripts_dir, tmp_path_factor
     "query",
     [
         "t1 OR t2 OR t3", "t3", "t1 OR w00999", "w00042 OR w00123 OR t5",
-        # conjunctive (AND) pruning path
         "t1 t7", "t1 AND t7 AND w00042", "t1 t2 t3 t4 t5", "t1 t1 w00042",
     ],
 )
 @pytest.mark.parametrize("scoring", ["ref_tfidf", "bm25"])
-def test_wand_pruned_equals_full(engine, query, scoring):
-    """Block-max pruned disjunctive top-k must be bit-identical to the full
-    evaluation path (scores, docs, order, found)."""
+def test_wand_pruned_equals_full(engine, tiny_oracle, query, scoring):
+    """Flat ORs and flat ANDs of plain terms, ranked in process by full
+    evaluation, equal the oracle: found, ranks and scores."""
     for k in (1, 5, 40):
-        a, fa = engine.search(query, k=k, scoring=scoring, prune=True, parallel=False)
-        b, fb = engine.search(query, k=k, scoring=scoring, prune=False, parallel=False)
-        assert fa == fb
-        assert [(h.part, h.doc_id, h.score) for h in a] == [
-            (h.part, h.doc_id, h.score) for h in b
-        ], (query, scoring, k)
+        hits, found = engine.search(query, k=k, scoring=scoring, parallel=False)
+        ohits, ofound = oracle_search(tiny_oracle, query, k=k, scoring=scoring)
+        assert found == ofound, (query, scoring, k)
+        _assert_rank_identical(hits, ohits)
 
 
 def test_extend_index_append_epoch(ray_session, tiny_transcripts_dir, tmp_path_factory, index_dir):
@@ -578,8 +575,7 @@ def test_lazy_tf_partial_decode(ray_session, tiny_transcripts_dir, tmp_path_fact
     from miru_ray.oracle import build_oracle_partitions
 
     d = str(tmp_path_factory.mktemp("idx_lazy"))
-    # ONE partition so per-partition domains exceed the tiny-domain cutoff
-    # and the block-max sweep actually prunes
+    # ONE partition so each hot term's posting spans many blocks
     build_index(tiny_transcripts_dir, d, n_parts=1)
     oracle1 = build_oracle_partitions(
         [r for p in sorted(tiny_oracle) for r in _oracle_rows(tiny_oracle[p])], n_parts=1
@@ -826,13 +822,9 @@ def test_stats_and_explain(engine, index_dir, tiny_rows):
     assert st["codec"] == "varbyte" and st["positions"] is False
 
     ex = engine.explain("t1 t7")
-    assert ex["strategy"] == "block-max-wand-and"
     assert ex["terms"]["text:t1"]["df"] > 0 and ex["terms"]["text:t7"]["ttf"] > 0
-    assert engine.explain("t1 OR t2")["strategy"] == "block-max-wand-or"
     exw = engine.explain("w004* t1")
-    assert exw["strategy"] == "full-eval"
     assert len(exw["expansions"]["text:w004*"]) > 1
-    assert engine.explain("t1", scoring="time")["strategy"] == "full-eval"
 
 
 def test_export_match_resumable(engine, tmp_path_factory):

@@ -212,6 +212,27 @@ def test_numeric_lex_order_preserving():
     assert [v for _e, v in sorted(enc)] == sorted(vals)
 
 
+def test_numeric_lex_int64_edges_without_warnings():
+    """The scalar encoding equals the vectorized one at the int64 edges and
+    at -1/0/1 without any numpy overflow warning; values outside int64
+    still raise."""
+    import warnings
+
+    import pyarrow as pa
+    import pytest
+
+    from miru_ray.segments import numeric_lex, numeric_lex_array
+
+    vals = [-(2**63), -1, 0, 1, 2**63 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [numeric_lex(v) for v in vals]
+        assert got == numeric_lex_array(pa.array(vals, pa.int64())).to_pylist()
+        for bad in (2**63, -(2**63) - 1):
+            with pytest.raises(OverflowError):
+                numeric_lex(bad)
+
+
 def test_malformed_ranges_raise():
     import pytest
 

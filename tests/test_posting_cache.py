@@ -111,12 +111,7 @@ def _per_row_reference(t, i, lazy):
     tf_raw = t["tf_bytes"][i].as_py()
     docs, tfs = decode_posting(t["doc_bytes"][i].as_py(), None if lazy else tf_raw,
                                blk_first, blk_count)
-    blocks = {
-        "first": blk_first,
-        "count": blk_count,
-        "max_tf": np.asarray(t["blk_max_tf"][i].as_py()),
-        "min_dl": np.asarray(t["blk_min_dl"][i].as_py()),
-    }
+    blocks = {"first": blk_first, "count": blk_count}
     if lazy:
         blocks["tf_bytes"] = tf_raw
         blocks["tf_end"] = np.asarray(t["blk_tf_end"][i].as_py(), dtype=np.int64)

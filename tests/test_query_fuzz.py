@@ -4,15 +4,8 @@ Seeded random queries from the filter grammar — AND, OR, NOT, parentheses,
 prefix, a ``role:`` field, a numeric range and fuzzy terms — are crossed
 with every scorer and with one mask each: none, ``time_range``, ``authz``
 or tombstones (``remove_docs`` on a copy of the index). Each run is checked
-three ways:
-
-* against the brute-force oracle: the same ``found`` and the same ranked
-  hits (rank identity);
-* ``prune=True`` against ``prune=False``: bit-identical scores, also with
-  the block-max sweep forced on, one segment per first batch (the tiny
-  partitions are below the size at which ``wand_topk`` starts to sweep);
-* ``explain``'s strategy against the path each partition actually took
-  (block-max WAND or full evaluation).
+against the brute-force oracle: the same ``found`` and the same ranked hits
+and scores (rank identity).
 """
 
 import random
@@ -21,8 +14,6 @@ import shutil
 import numpy as np
 import pytest
 
-import miru_ray.search as S
-import miru_ray.wand as W
 from miru_ray.build import build_index
 from miru_ray.oracle import oracle_search
 from miru_ray.search import SearchEngine
@@ -65,8 +56,8 @@ def _expr(rng: random.Random, depth: int = 0) -> str:
 
 
 def _query(rng: random.Random) -> str:
-    """A third of the queries are flat ORs or flat ANDs of plain terms —
-    the block-max path's shape — the rest the full grammar."""
+    """A third of the queries are flat ORs or flat ANDs of plain terms,
+    the rest the full grammar."""
     if rng.random() < 0.35:
         terms = rng.sample(TERMS, rng.randint(1, 3))
         return rng.choice([" ", " OR "]).join(terms)
@@ -90,31 +81,11 @@ def fuzz_indexes(ray_session, tiny_transcripts_dir, tiny_rows, tmp_path_factory)
     return SearchEngine(d), SearchEngine(t), removed
 
 
-@pytest.fixture()
-def path_log(monkeypatch):
-    """Records, per asked partition, whether block-max WAND ranked it."""
-    log: list[list] = []
-    ask, wand = S.search_partition, S.wand_topk
-
-    def search_partition(index_dir, part, *args, **kwargs):
-        log.append([part, False])
-        return ask(index_dir, part, *args, **kwargs)
-
-    def wand_topk(*args, **kwargs):
-        log[-1][1] = True
-        return wand(*args, **kwargs)
-
-    monkeypatch.setattr(S, "search_partition", search_partition)
-    monkeypatch.setattr(S, "wand_topk", wand_topk)
-    return log
-
-
 @pytest.mark.parametrize("scoring", SCORERS)
-def test_query_fuzz(fuzz_indexes, tiny_oracle, path_log, scoring):
+def test_query_fuzz(fuzz_indexes, tiny_oracle, scoring):
     plain, tomb, removed = fuzz_indexes
     all_ts = sorted(ts for p in tiny_oracle.values() for ts in p.ts)
     rng = random.Random(SEED * 7 + SCORERS.index(scoring))
-    n_wand = 0
     for i, q in enumerate(QUERY_SET):
         mask = MASKS[(i + SCORERS.index(scoring)) % len(MASKS)]
         k = rng.choice([1, 5, 10, 40])
@@ -129,44 +100,10 @@ def test_query_fuzz(fuzz_indexes, tiny_oracle, path_log, scoring):
             eng, okw["removed"] = tomb, removed
         ctx = (q, scoring, mask, k)
 
-        del path_log[:]
         hits, found = eng.search(q, k=k, scoring=scoring, parallel=False,
                                  early_exit=False, **kw)
-        taken = {p: used for p, used in path_log}
-        full, ffound = eng.search(q, k=k, scoring=scoring, parallel=False,
-                                  early_exit=False, prune=False, **kw)
         ohits, ofound = oracle_search(tiny_oracle, q, k, scoring=scoring, **okw)
-        swept, sfound = hits, found
-        if any(taken.values()):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(W, "SWEEP_MIN_K", 0)
-                m.setattr(W, "FLAT_SKEW", 0.0)
-                m.setattr(W, "SWEEP_BATCH", 1)
-                swept, sfound = eng.search(q, k=k, scoring=scoring, parallel=False,
-                                           early_exit=False, **kw)
-
-        # 1. the oracle: found and rank identity
         assert found == ofound, ctx
         assert [(h.part, h.doc_id) for h in hits] == [(h.part, h.doc_id) for h in ohits], ctx
         np.testing.assert_allclose([h.score for h in hits], [h.score for h in ohits],
                                    rtol=2e-5, atol=1e-7, err_msg=str(ctx))
-        # 2. block-max against full evaluation: bit-identical
-        assert ffound == found == sfound, ctx
-        want = [(h.part, h.doc_id, h.score) for h in full]
-        assert [(h.part, h.doc_id, h.score) for h in hits] == want, ctx
-        assert [(h.part, h.doc_id, h.score) for h in swept] == want, ctx
-        # 3. explain names the path each partition took; it has no
-        # time_range or authz argument, and those masks always take full
-        # evaluation (a time_range may also skip partitions by zone map)
-        assert len(taken) == N_PARTS or mask == "time_range", ctx
-        for p, used in taken.items():
-            if mask in ("time_range", "authz"):
-                assert not used, ctx
-            else:
-                strategy = eng.explain(q, scoring=scoring, part=p)["strategy"]
-                assert strategy.startswith("block-max-wand") == used, (ctx, p, strategy)
-            n_wand += used
-    if scoring in ("ref_tfidf", "bm25"):
-        assert n_wand > 0  # the block-max path was exercised
-    else:
-        assert n_wand == 0

@@ -32,10 +32,8 @@ def engine(ray_session, tiny_transcripts_dir, tmp_path_factory):
 
 def _full_hits(engine, part, query, scoring):
     """Every scored candidate of one partition, docId ASCENDING (the
-    reference's bitmap iterator order), via an unpruned huge-k ask."""
-    r = search_partition(
-        engine.index_dir, part, query=query, k=1 << 20, scoring=scoring, prune=False
-    )
+    reference's bitmap iterator order), via a huge-k ask."""
+    r = search_partition(engine.index_dir, part, query=query, k=1 << 20, scoring=scoring)
     hits = _hits_of(r)
     return sorted(hits, key=lambda h: h.doc_id), r["found"]
 
@@ -108,7 +106,7 @@ def test_serial_below_min_budget_unit(engine):
     already = k - 2  # budget of exactly 2
     r = search_partition(
         engine.index_dir, part, query=q, k=1 << 20, scoring=scoring,
-        prune=False, min_score=ms, below_min=k - already,
+        min_score=ms, below_min=k - already,
     )
     got = sorted(_hits_of(r), key=lambda h: h.doc_id)
     above = [h for h in hits_all if h.score > np.float32(ms)]

@@ -380,7 +380,7 @@ def _topk_answer(sf_dir: str):
 
 def _tf_on(src, term: str, answer: np.ndarray) -> np.ndarray:
     docs = src.docs("text", term)
-    tfs = src.tfs("text", term)  # forces full decode of lazy-tf postings
+    tfs = src.tfs("text", term)
     pos = np.searchsorted(docs, answer)
     return tfs[pos].astype(np.float64)
 
@@ -1038,6 +1038,7 @@ def _federated(sf_dir: str):
 
     from miru_ray.build import build_index
     from miru_ray.federate import FederatedEngine
+    from miru_ray.segments import INDEX_VERSION
     from miru_ray.transcripts import docs_to_transcripts
 
     key = os.path.abspath(sf_dir)
@@ -1045,7 +1046,8 @@ def _federated(sf_dir: str):
     if hit is not None:
         return hit
     tag = key.strip("/").replace("/", "_")
-    base = f"/tmp/miru_ray_fed_{tag}"
+    # version in the dir name: a format bump invalidates stale /tmp caches
+    base = f"/tmp/miru_ray_fed_{tag}_v{INDEX_VERSION}"
     t = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text", "lang", "source"],

@@ -14,10 +14,8 @@ the manifests, audit re-derives and cross-checks):
   run — audits are comparable across replicas, the sync/verify_sync
   contract), full decode and re-derivation of every redundant field:
   docIds strictly increasing within [first_doc, last_doc] and ⊆ the
-  partition's doc set, df == len(docs), ttf == Σtf, max_tf == max(tf),
-  blk_first/blk_count consistent with the decoded stream, per-block
-  byte-end offsets monotone and summing to the byte lengths, blk_max_tf
-  == per-block max, blk_min_dl == per-block min TRUE doc length;
+  partition's doc set, df == len(docs), ttf == Σtf, blk_count summing to
+  df with n_blocks entries, blk_first == each block's first decoded docId;
 * tombstones ⊆ the partition's doc universe.
 
 A corrupted byte anywhere in these structures surfaces as a named error
@@ -49,7 +47,7 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
     if m is None:
         _err(errors, part, "manifest", "missing/incomplete/stale-version")
         return {"part": part, "n_terms_checked": 0, "errors": errors}
-    read_global_manifest(index_dir)  # raises on an index of another codec
+    read_global_manifest(index_dir)  # raises on an index of another codec or version
     try:
         post = pt.postings_table()
     except Exception as ex:
@@ -104,8 +102,6 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
             continue
         bc = np.asarray(r["blk_count"], dtype=np.int64)
         bf = np.asarray(r["blk_first"], dtype=np.int64)
-        de = np.asarray(r["blk_doc_end"], dtype=np.int64)
-        te = np.asarray(r["blk_tf_end"], dtype=np.int64)
         if len(docs) != int(r["df"]):
             _err(errors, part, "df", f"{t!r}: decoded {len(docs)} != df {r['df']}")
             continue
@@ -119,8 +115,6 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
             _err(errors, part, "doc-universe", f"{t!r}: docId outside forward table")
         if int(tfs.sum()) != int(r["ttf"]):
             _err(errors, part, "ttf", f"{t!r}: Σtf {int(tfs.sum())} != ttf {r['ttf']}")
-        if len(tfs) and int(tfs.max()) != int(r["max_tf"]):
-            _err(errors, part, "max_tf", f"{t!r}")
         if int(bc.sum()) != len(docs) or len(bc) != int(r["n_blocks"]):
             _err(errors, part, "blk-count", f"{t!r}")
             continue
@@ -128,20 +122,6 @@ def audit_partition(index_dir: str, part: int, sample_terms: int = 64) -> dict:
         np.cumsum(bc[:-1], out=starts[1:])
         if not np.array_equal(docs[starts], bf):
             _err(errors, part, "blk-first", f"{t!r}")
-        if np.any(np.diff(de) < 0) or np.any(np.diff(te) < 0) or (
-            len(de) and int(de[-1]) != len(r["doc_bytes"])
-        ) or (len(te) and int(te[-1]) != len(r["tf_bytes"])):
-            _err(errors, part, "blk-offsets", f"{t!r}: byte ends not consistent")
-        blk_max = np.maximum.reduceat(tfs, starts)
-        if not np.array_equal(blk_max, np.asarray(r["blk_max_tf"], dtype=np.int64)):
-            _err(errors, part, "blk-max-tf", f"{t!r}")
-        true_dl = dl[np.searchsorted(doc_ids, docs).clip(0, len(doc_ids) - 1)]
-        blk_min_dl = np.minimum.reduceat(true_dl, starts)
-        claimed = np.asarray(r["blk_min_dl"], dtype=np.int64)
-        # claimed min_dl may be a LOWER bound after merges (offset
-        # subsampling keeps the min of merged runs) — exact after compact
-        if np.any(claimed > blk_min_dl):
-            _err(errors, part, "blk-min-dl", f"{t!r}: claimed min_dl above true min")
 
     # positional streams (opt-in positions=True builds): docIds
     # NON-strict increasing (tf occurrences repeat the doc), every
@@ -182,7 +162,7 @@ def audit_index(index_dir: str, sample_terms: int = 64) -> dict:
     Returns {"ok": bool, "parts": [...], "n_errors": int}."""
     import ray
 
-    read_global_manifest(index_dir)  # raises on an index of another codec
+    read_global_manifest(index_dir)  # raises on an index of another codec or version
     parts = completed_parts(index_dir)
     task = ray.remote(num_cpus=1)(audit_partition)
     reports = ray.get(

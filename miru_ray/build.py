@@ -53,6 +53,7 @@ from .codec import (
 from .hashing import fnv1a64
 from .segments import (
     FORWARD_SCHEMA,
+    INDEX_VERSION,
     META_FIELDS,
     NUM_FIELDS,
     POSTING_CODEC,
@@ -109,7 +110,7 @@ def _single_term_columns(t: pa.Table):
 
 
 def meta_field_runs_multi(
-    t: pa.Table, part: np.ndarray, docid_of_row: np.ndarray, dl_all: np.ndarray,
+    t: pa.Table, part: np.ndarray, docid_of_row: np.ndarray,
 ) -> list[pa.Table]:
     """meta_field_runs across all partitions of a file at once (one lexsort
     per field instead of one per (field, part))."""
@@ -127,10 +128,7 @@ def meta_field_runs_multi(
         o = np.lexsort((d, codes, p))
         dict_terms = pc.binary_join_element_wise(pa.scalar(field + "\x1f"), denc.dictionary, "")
         out.append(
-            encode_runs(
-                p[o], codes[o], d[o], np.ones(len(o), dtype=np.int64),
-                dl_all[rows[o]], dict_terms,
-            )
+            encode_runs(p[o], codes[o], d[o], np.ones(len(o), dtype=np.int64), dict_terms)
         )
     return out
 
@@ -160,9 +158,7 @@ def paired_latest_field(a: str, b: str) -> str:
     return f"{a}^{b}"
 
 
-def paired_latest_runs(
-    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict
-) -> list[pa.Table]:
+def paired_latest_runs(part: int, doc_ids: np.ndarray, cols: dict) -> list[pa.Table]:
     """The pairedLatest feature bundle (MiruIndexPairedLatest.java:36-56
     compose → :103-151 index): for each schema pair (A, B) and each value
     va of A, ONE posting under field ``A^B``, term va, holding exactly one
@@ -210,16 +206,13 @@ def paired_latest_runs(
                 va_codes[o2],
                 docs[o2],
                 np.ones(len(o2), dtype=np.int64),
-                dl[rows[sel[o2]]],
                 dict_terms,
             )
         )
     return out
 
 
-def composite_runs(
-    part: int, doc_ids: np.ndarray, dl: np.ndarray, cols: dict
-) -> list[pa.Table]:
+def composite_runs(part: int, doc_ids: np.ndarray, cols: dict) -> list[pa.Table]:
     """Composite-field postings (MiruSchema.java:32 `composite`;
     MiruActivityInternExtern.java:97-146): for each declared composite field,
     one term per doc = its source fields' values joined by COMPOSITE_SEP,
@@ -259,7 +252,6 @@ def composite_runs(
                 codes[o],
                 docs[o],
                 np.ones(len(o), dtype=np.int64),
-                dl[rows[o]],
                 dict_terms,
             )
         )
@@ -275,7 +267,6 @@ def forward_to_run_row(part: int, first_doc: int, last_doc: int, forward: pa.Tab
         w.write_table(forward)
     payload = sink.getvalue()
     empty_i32 = pa.array([[]], type=pa.large_list(pa.int32()))
-    empty_i64 = pa.array([[]], type=pa.large_list(pa.int64()))
     return pa.table(
         {
             "part": pa.array([part], type=pa.int32()),
@@ -284,16 +275,11 @@ def forward_to_run_row(part: int, first_doc: int, last_doc: int, forward: pa.Tab
             "last_doc": pa.array([last_doc], type=pa.int32()),
             "df": pa.array([forward.num_rows], type=pa.int32()),
             "ttf": pa.array([0], type=pa.int64()),
-            "max_tf": pa.array([0], type=pa.int32()),
             "n_blocks": pa.array([0], type=pa.int32()),
             "doc_bytes": pa.array([payload], type=pa.large_binary()),
             "tf_bytes": pa.array([b""], type=pa.large_binary()),
             "blk_first": empty_i32,
             "blk_count": empty_i32,
-            "blk_max_tf": empty_i32,
-            "blk_min_dl": empty_i32,
-            "blk_doc_end": empty_i64,
-            "blk_tf_end": empty_i64,
         },
         schema=RUNS_SCHEMA,
     )
@@ -692,10 +678,7 @@ class FileIndexer:
                 pa.scalar(TEXT_FIELD + "\x1f"), denc.dictionary, ""
             )
             runs.append(
-                encode_runs(
-                    p2[starts], c2[starts], docid_of_row[rs], tf,
-                    dl_all[rs], dict_terms,
-                )
+                encode_runs(p2[starts], c2[starts], docid_of_row[rs], tf, dict_terms)
             )
             if pos2 is not None:
                 # positional runs: one entry per occurrence (POS_FIELD keys),
@@ -704,13 +687,10 @@ class FileIndexer:
                     pa.scalar(POS_FIELD + "\x1f"), denc.dictionary, ""
                 )
                 runs.append(
-                    encode_runs(
-                        p2, c2, docid_of_row[r2], pos2, dl_all[r2],
-                        pos_terms, strict=False,
-                    )
+                    encode_runs(p2, c2, docid_of_row[r2], pos2, pos_terms, strict=False)
                 )
         # meta fields across all parts at once
-        runs.extend(meta_field_runs_multi(t, part, docid_of_row, dl_all))
+        runs.extend(meta_field_runs_multi(t, part, docid_of_row))
         # forward slices per part, shipped as IPC pseudo-runs. Select the
         # forward columns ONCE before the per-part takes: taking from the
         # full table would copy the text column (the corpus's largest) per
@@ -858,10 +838,9 @@ def _write_partition(
         # merged forward exists (per-file partials would leave several
         # "latest" docs per pair)
         fdocs = forward["doc_id"].to_numpy().astype(np.int64)
-        fdl = forward["dl"].to_numpy().astype(np.int64)
         fcols = {"role": forward["role"], "tool": forward["tool"]}
-        extra = paired_latest_runs(part, fdocs, fdl, fcols)
-        extra += composite_runs(part, fdocs, fdl, fcols)
+        extra = paired_latest_runs(part, fdocs, fcols)
+        extra += composite_runs(part, fdocs, fcols)
         if extra:
             postings = pa.concat_tables([postings] + extra).combine_chunks()
     tmarks.append(("derived", time.monotonic()))
@@ -1159,7 +1138,6 @@ def build_index(
 
     built = {int(r["part"]): r for r in rows}
     meta = {
-        "version": 1,
         "n_parts": n_parts if partitioning != "range" else n_parts_eff,
         "partitioning": (
             {"mode": "range", "rows_per_part": R}
@@ -1168,6 +1146,7 @@ def build_index(
         ),
         "strategy": "stream",
         "codec": POSTING_CODEC,
+        "version": INDEX_VERSION,
         "positions": positions,
         "tokenizer": _tokenizer_meta(analyzer, use_stopwords),
         "text_field": TEXT_FIELD,
@@ -1557,9 +1536,8 @@ def compact_partition(index_dir: str, part: int) -> dict:
 
     Extends append epoch runs whose block boundaries follow epoch
     arrival; compaction decodes every posting fully and re-encodes it as
-    ONE run with BLOCK_SIZE-aligned blocks and exact block metadata
-    (blk_min_dl from the true per-doc lengths, not the merged lower
-    bounds) — the unique normal form, independent of how many epochs
+    ONE run with BLOCK_SIZE-aligned blocks — the unique normal form,
+    independent of how many epochs
     built the partition. DocIds are untouched (never reassigned — the
     reference's contract); tombstones and stream state are untouched.
     Answer-invariant. The segment goes through ``finalize_segment`` (forward
@@ -1574,7 +1552,6 @@ def compact_partition(index_dir: str, part: int) -> dict:
     pt = partition(index_dir, part)
     man = pt.manifest
     t = pt.postings_table().combine_chunks()
-    fwd_dl = pt.forward_table()["dl"].to_numpy().astype(np.int64)
     terms = t["term"].to_pylist()
     from .codec import decode_posting
 
@@ -1598,9 +1575,7 @@ def compact_partition(index_dir: str, part: int) -> dict:
         )
         docs = np.concatenate([e[1] for e in entries])
         tfs = np.concatenate([e[2] for e in entries])
-        return encode_runs(
-            part, codes, docs, tfs, fwd_dl[docs], dict_terms, strict=strict,
-        )
+        return encode_runs(part, codes, docs, tfs, dict_terms, strict=strict)
     out = pa.concat_tables([_batch(norm, True), _batch(pos, False)])
     out = out.take(pc.sort_indices(out, sort_keys=[("term", "ascending")]))
     metrics = dict(man["metrics"], **_posting_metrics(out, man["metrics"]["n_docs"]))
@@ -1616,6 +1591,7 @@ def compact_index(index_dir: str, parts: list[int] | None = None) -> list[dict]:
     manifests."""
     from .segments import completed_parts, read_global_manifest
 
+    meta = read_global_manifest(index_dir)  # raises on another codec or version
     todo = sorted(parts) if parts is not None else completed_parts(index_dir)
     try:
         import ray
@@ -1628,8 +1604,7 @@ def compact_index(index_dir: str, parts: list[int] | None = None) -> list[dict]:
         out = ray.get([fn.remote(index_dir, p) for p in todo])
     else:
         out = [compact_partition(index_dir, p) for p in todo]
-    write_global_manifest(index_dir, dict(read_global_manifest(index_dir),
-                                          totals=_totals_from_manifests(index_dir)))
+    write_global_manifest(index_dir, dict(meta, totals=_totals_from_manifests(index_dir)))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Posting-list codec: delta + varbyte compression with block-max metadata.
+"""Posting-list codec: delta + varbyte compression in fixed-size blocks.
 
 The reference stores one Roaring bitmap per (field, term) with a ``lastId``
 header, optionally atomized into per-64Ki-docId chunks (reference:
@@ -8,21 +8,18 @@ miru-service/.../lab/LabInvertedIndex.java:268-292,335-399) and a cardinality
 a Ray-Data-friendly immutable layout (per BASELINE.json north star):
 
 * a posting = sorted docIds, **delta + varbyte** encoded in blocks of
-  ``BLOCK_SIZE`` docs, with per-block metadata ``(first_doc, count, max_tf,
-  min_dl)``: first_doc and count drive skip-decoding, max_tf and min_dl are
-  block upper-bound metadata that only ``audit`` reads today;
+  ``BLOCK_SIZE`` docs, with per-block ``(first_doc, count)``: the block's
+  first docId restarts the deltas, and the counts split the decoded stream;
 * tf values varbyte-encoded alongside (the per-doc cardinality store);
-* per-posting ``df`` / ``ttf`` / ``max_tf`` (df = Roaring cardinality,
-  ttf = the reference's global Σtf row — the TF-IDF denominator).
+* per-posting ``df`` / ``ttf`` (df = Roaring cardinality, ttf = the
+  reference's global Σtf row — the TF-IDF denominator).
 
-One path per job, each numpy-vectorized over whole Arrow batches with no
-per-term Python loop:
+A row carries only what the decoder and the merge read. One path per job,
+each numpy-vectorized over whole Arrow batches with no per-term Python loop:
 
 * **encode** — ``encode_runs``: a batch of (part, term code, doc, tf)
   triples becomes a batch of encoded *runs*, one per (part, term);
-* **decode** — ``decode_posting`` decodes a whole posting, and
-  ``decode_tf_range`` only the tf values of a block range (the query
-  engine's lazy-tf path);
+* **decode** — ``decode_posting`` decodes a whole posting, docs and tfs;
 * **merge** — ``merge_runs``: runs produced from different input batches
   cover disjoint docId ranges (each batch is a contiguous slice of a
   partition's docId order, and an extend appends past the committed doc
@@ -71,19 +68,11 @@ RUNS_SCHEMA = pa.schema(
         ("last_doc", pa.int32()),
         ("df", pa.int32()),
         ("ttf", pa.int64()),
-        ("max_tf", pa.int32()),
         ("n_blocks", pa.int32()),
         ("doc_bytes", pa.large_binary()),
         ("tf_bytes", pa.large_binary()),
         ("blk_first", pa.large_list(pa.int32())),
         ("blk_count", pa.large_list(pa.int32())),
-        ("blk_max_tf", pa.large_list(pa.int32())),
-        ("blk_min_dl", pa.large_list(pa.int32())),
-        # per-block END byte offsets into doc_bytes / tf_bytes (run-relative):
-        # block i's bytes are [end[i-1], end[i]) — decode_tf_range reads a
-        # block range's tf bytes without touching the rest of the posting
-        ("blk_doc_end", pa.large_list(pa.int64())),
-        ("blk_tf_end", pa.large_list(pa.int64())),
     ]
 )
 
@@ -92,17 +81,15 @@ RUNS_SCHEMA = pa.schema(
 #
 # The VALUE-STREAM codec turns a stream of non-negative ints (doc deltas,
 # tfs) into bytes; everything above the byte payload — the run/block
-# structure, block-max metadata, per-block byte-end offsets, and the
-# offset-subsampling merge — does not depend on it. There is one codec,
-# varbyte (delta+LEB128, ~1 byte/doc on dense postings), and it is two
-# functions:
+# structure and the offset-subsampling merge — does not depend on it. There
+# is one codec, varbyte (delta+LEB128, ~1 byte/doc on dense postings), and
+# it is two functions:
 #
 #   varbyte_encode(values:int64[n]) -> (bytes:uint8[total], ends:int64[n])
 #   varbyte_decode(buf:uint8[total]) -> uint64[n]
 #
-# ``ends`` (cumulative byte length after each value) is what the block
-# byte-end offsets are derived from, so partial decode slices a block
-# range's bytes without decoding the rest. index.json records the codec as
+# ``ends`` (cumulative byte length after each value) gives each run's byte
+# window inside the batch's one buffer. index.json records the codec as
 # ``"codec": "varbyte"`` (segments.POSTING_CODEC); an index naming any
 # other codec refuses to open.
 
@@ -164,12 +151,6 @@ def varbyte_decode(buf: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, starts)
 
 
-def _reduceat(op, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    if len(starts) == 0:
-        return np.empty(0, values.dtype)
-    return op.reduceat(values, starts)
-
-
 def _offsets_and_data(arr: pa.Array) -> np.ndarray:
     """The absolute offsets (int64[n+1]) of a binary, string or list array."""
     typ = arr.type
@@ -192,17 +173,15 @@ def encode_runs(
     codes: np.ndarray,
     doc: np.ndarray,
     tf: np.ndarray,
-    dl: np.ndarray,
     dict_terms: pa.Array,
     strict: bool = True,
 ) -> pa.Table:
-    """Encode (part, code, doc, tf, dl) triples — sorted by (part, code, doc)
-    — into one posting *run* per (part, code) with block-max metadata.
+    """Encode (part, code, doc, tf) triples — sorted by (part, code, doc) —
+    into one posting *run* per (part, code).
 
     ``part`` is one partition id or an array of them; ``dict_terms[code]``
     is the full term key (field prefix applied), so term strings
-    materialize once per RUN via a dictionary take. ``dl`` is the document
-    length of ``doc`` (the per-block ``min_dl``). Doc ids must
+    materialize once per RUN via a dictionary take. Doc ids must
     increase strictly within a run; ``strict=False`` permits repeats (delta
     0) — the positional-index occurrence streams (POS_FIELD). Fully
     vectorized; no per-term loop."""
@@ -213,7 +192,6 @@ def encode_runs(
     codes = np.asarray(codes, dtype=np.int64)
     doc = np.asarray(doc, dtype=np.int64)
     tf = np.asarray(tf, dtype=np.int64)
-    dl = np.asarray(dl, dtype=np.int64)
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
     if n > 1:
@@ -231,8 +209,6 @@ def encode_runs(
     blk_ends[:-1] = block_starts[1:]
     blk_ends[-1] = n
     blk_count = (blk_ends - block_starts).astype(np.int32)
-    blk_max_tf = _reduceat(np.maximum, tf, block_starts).astype(np.int32)
-    blk_min_dl = _reduceat(np.minimum, dl, block_starts).astype(np.int32)
 
     deltas = np.empty(n, dtype=np.int64)
     deltas[0] = 0
@@ -266,8 +242,7 @@ def encode_runs(
     )
 
     # per-run block-list offsets
-    block_run = run_id[block_starts]
-    blocks_per_run = np.bincount(block_run, minlength=n_runs)
+    blocks_per_run = np.bincount(run_id[block_starts], minlength=n_runs)
     blk_offsets = np.zeros(n_runs + 1, dtype=np.int64)
     np.cumsum(blocks_per_run, out=blk_offsets[1:])
 
@@ -276,17 +251,7 @@ def encode_runs(
 
     run_ends = run_bounds[1:] - 1
     df = (run_bounds[1:] - run_bounds[:-1]).astype(np.int32)
-    ttf = _reduceat(np.add, tf, run_starts).astype(np.int64)
-    max_tf = _reduceat(np.maximum, tf, run_starts).astype(np.int32)
-
-    # per-block byte END offsets, relative to the block's run start
-    run_doc_base = doc_off[run_starts][block_run]
-    run_tf_base = tf_off[run_starts][block_run]
-    blk_doc_end = doc_off[blk_ends] - run_doc_base
-    blk_tf_end = tf_off[blk_ends] - run_tf_base
-
-    def _list64(arr: np.ndarray) -> pa.Array:
-        return pa.LargeListArray.from_arrays(blk_offsets, pa.array(arr, type=pa.int64()))
+    ttf = np.add.reduceat(tf, run_starts)
 
     return pa.table(
         {
@@ -296,16 +261,11 @@ def encode_runs(
             "last_doc": pa.array(doc[run_ends].astype(np.int32), type=pa.int32()),
             "df": pa.array(df, type=pa.int32()),
             "ttf": pa.array(ttf, type=pa.int64()),
-            "max_tf": pa.array(max_tf, type=pa.int32()),
             "n_blocks": pa.array(blocks_per_run.astype(np.int32), type=pa.int32()),
             "doc_bytes": doc_bytes,
             "tf_bytes": tf_bytes,
             "blk_first": _list(blk_first),
             "blk_count": _list(blk_count),
-            "blk_max_tf": _list(blk_max_tf),
-            "blk_min_dl": _list(blk_min_dl),
-            "blk_doc_end": _list64(blk_doc_end),
-            "blk_tf_end": _list64(blk_tf_end),
         },
         schema=RUNS_SCHEMA,
     )
@@ -313,11 +273,11 @@ def encode_runs(
 
 def decode_posting(
     doc_bytes: bytes | np.ndarray,
-    tf_bytes: bytes | np.ndarray | None,
+    tf_bytes: bytes | np.ndarray,
     blk_first: np.ndarray,
     blk_count: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Decode one posting (or run) back to (docIds:int64, tfs:int64|None)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one whole posting (or run) back to (docIds:int64, tfs:int64)."""
     deltas = varbyte_decode(np.frombuffer(doc_bytes, dtype=np.uint8)).astype(np.int64)
     blk_count = np.asarray(blk_count, dtype=np.int64)
     blk_first = np.asarray(blk_first, dtype=np.int64)
@@ -328,25 +288,8 @@ def decode_posting(
     c = np.cumsum(v)
     base = c[starts] - blk_first
     docs = c - np.repeat(base, blk_count)
-    tfs = None
-    if tf_bytes is not None:
-        tfs = varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)).astype(np.int64)
+    tfs = varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)).astype(np.int64)
     return docs, tfs
-
-
-def decode_tf_range(
-    tf_bytes: bytes | np.ndarray,
-    blk_tf_end: np.ndarray,
-    b_lo: int,
-    b_hi: int,
-) -> np.ndarray:
-    """Partial decode of the tf values of blocks [b_lo, b_hi) only — the
-    lazy-tf path of the query engine: docs decode once for set algebra, tf
-    bytes decode per touched block during scoring."""
-    blk_tf_end = np.asarray(blk_tf_end, dtype=np.int64)
-    t_lo = 0 if b_lo == 0 else int(blk_tf_end[b_lo - 1])
-    t_hi = int(blk_tf_end[b_hi - 1])
-    return varbyte_decode(np.frombuffer(tf_bytes, dtype=np.uint8)[t_lo:t_hi]).astype(np.int64)
 
 
 def merge_runs(runs: pa.Table) -> pa.Table:
@@ -439,27 +382,10 @@ def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray) -> pa.Table:
         values = arr.values
         return pa.LargeListArray.from_arrays(pa.array(off[bounds], type=pa.int64()), values)
 
-    def subsample_shifted_list(name, bytes_name):
-        """Like subsample_list, but the values are byte offsets relative to
-        their ORIGINAL run's bytes — shift each run's entries by where that
-        run's bytes land inside the merged run's concatenated bytes."""
-        arr = col(name)
-        off = _offsets_and_data(arr)
-        byte_off = _offsets_and_data(col(bytes_name))
-        gid = np.cumsum(new_group) - 1
-        shift_per_row = byte_off[:-1] - byte_off[go[gid]]
-        blocks_per_row = off[1:] - off[:-1]  # already int64 views
-        values = arr.values.to_numpy(zero_copy_only=False)  # int64, zero-copy
-        shifted = values + np.repeat(shift_per_row, blocks_per_row)
-        return pa.LargeListArray.from_arrays(
-            pa.array(off[bounds], type=pa.int64()), pa.array(shifted, type=pa.int64())
-        )
-
-    # native-dtype reduceats: df/n_blocks sums and max_tf maxes fit int32
-    # (docIds are int32 so per-(part,term) df ≤ 2^31); ttf stays int64
+    # native-dtype reduceats: df/n_blocks sums fit int32 (docIds are int32
+    # so per-(part,term) df ≤ 2^31); ttf stays int64
     df = np.add.reduceat(np_col("df", np.int32), go)
     ttf = np.add.reduceat(np_col("ttf", np.int64), go)
-    max_tf = np.maximum.reduceat(np_col("max_tf", np.int32), go)
     n_blocks = np.add.reduceat(np_col("n_blocks", np.int32), go)
     first_doc = np_col("first_doc", np.int32)[go]
     last_doc = np_col("last_doc", np.int32)[bounds[1:] - 1]
@@ -472,16 +398,11 @@ def _merge_sorted_runs(t: pa.Table, new_group: np.ndarray) -> pa.Table:
             "last_doc": pa.array(last_doc, type=pa.int32()),
             "df": pa.array(df, type=pa.int32()),
             "ttf": pa.array(ttf, type=pa.int64()),
-            "max_tf": pa.array(max_tf, type=pa.int32()),
             "n_blocks": pa.array(n_blocks, type=pa.int32()),
             "doc_bytes": subsample_binary("doc_bytes"),
             "tf_bytes": subsample_binary("tf_bytes"),
             "blk_first": subsample_list("blk_first"),
             "blk_count": subsample_list("blk_count"),
-            "blk_max_tf": subsample_list("blk_max_tf"),
-            "blk_min_dl": subsample_list("blk_min_dl"),
-            "blk_doc_end": subsample_shifted_list("blk_doc_end", "doc_bytes"),
-            "blk_tf_end": subsample_shifted_list("blk_tf_end", "tf_bytes"),
         },
         schema=RUNS_SCHEMA,
     )

@@ -9,9 +9,9 @@ serially in process otherwise. Each partition is read through its resident
 ``segments.Partition`` (manifest, term dictionary, forward columns and the
 decoded-posting, expansion and authz caches, all at the partition's
 manifest epoch); it looks its terms up in the term dictionary, reads only
-the row groups that hold them, then does sorted-array set algebra, fp32
-scoring and a local top-k; the driver does the exact two-pointer ordered
-merge.
+the row groups that hold them and decodes each posting whole (docs and
+tfs), then does sorted-array set algebra, fp32 scoring and a local top-k;
+the driver does the exact two-pointer ordered merge.
 
 Rank-identity contract (tested against the pure-python oracle):
 * signed term collector (±1 per collected term occurrence, sign flips for
@@ -176,15 +176,6 @@ def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
         )
 
 
-# lazy-tf threshold: postings with at least this many blocks keep their tf
-# bytes ENCODED at read time; docs decode once (set algebra needs them),
-# tf decodes per touched block during scoring (codec.decode_tf_range) —
-# the partial-decode path for hot terms whose postings dwarf the touched
-# candidate set. DECODE_STATS tracks the realized byte savings.
-LAZY_TF_BLOCKS = 64
-DECODE_STATS = {"tf_bytes_total": 0, "tf_bytes_decoded": 0}
-
-
 def _list_rows(col) -> list[np.ndarray]:
     """A list<int> column as one int64 array per row (views of one buffer)."""
     import pyarrow.compute as pc
@@ -199,8 +190,7 @@ class PostingSource:
     sorted docId arrays. Entries come from the resident partition's posting
     cache (the analogue of the reference's per-partition bitmap caches held
     by reader nodes, LAB leap cache); the misses are one read through its
-    term dictionary, decoded and cached. Large postings defer tf decoding
-    (lazy-tf)."""
+    term dictionary, each decoded whole (docs and tfs) and cached."""
 
     def __init__(self, index_dir: str, part: int, specs: list[tuple[str, str]],
                  max_wild: int):
@@ -237,26 +227,13 @@ class PostingSource:
             terms = t["term"].to_pylist()
             doc_bytes = t["doc_bytes"].to_pylist()
             tf_bytes = t["tf_bytes"].to_pylist()
-            n_blocks = t["n_blocks"].to_numpy()
             ttfs = t["ttf"].to_pylist()
             dfs = t["df"].to_pylist()
-            firsts, counts, tf_ends = (
-                _list_rows(t[c]) for c in ("blk_first", "blk_count", "blk_tf_end"))
+            firsts, counts = (_list_rows(t[c]) for c in ("blk_first", "blk_count"))
             entries: dict[str, tuple | None] = dict.fromkeys(misses)  # None: absent
             for i, key_str in enumerate(terms):
-                blk_first, blk_count, tf_raw = firsts[i], counts[i], tf_bytes[i]
-                DECODE_STATS["tf_bytes_total"] += len(tf_raw)
-                lazy = n_blocks[i] >= LAZY_TF_BLOCKS
-                docs, tfs = decode_posting(
-                    doc_bytes[i], None if lazy else tf_raw, blk_first, blk_count
-                )
-                if not lazy:
-                    DECODE_STATS["tf_bytes_decoded"] += len(tf_raw)
-                blocks = {"first": blk_first, "count": blk_count}
-                if lazy:
-                    blocks["tf_bytes"] = tf_raw
-                    blocks["tf_end"] = tf_ends[i]
-                    blocks["count_cum"] = np.cumsum(blk_count)
+                docs, tfs = decode_posting(doc_bytes[i], tf_bytes[i], firsts[i], counts[i])
+                blocks = {"first": firsts[i], "count": counts[i]}
                 entries[key_str] = (docs, tfs, ttfs[i], dfs[i], blocks)
                 self._put(key_str, entries[key_str])
             self._pt.cache("postings", entries)
@@ -281,50 +258,13 @@ class PostingSource:
         return p[0] if p is not None else _EMPTY
 
     def tfs(self, field: str, term: str) -> np.ndarray:
-        """Full tf array (forces a full decode of lazy-tf postings and
-        writes the eager form back to the partition's posting cache so
-        later queries skip the decode)."""
         p = self.post.get((field, term))
-        if p is None:
-            return _EMPTY
-        if p[1] is None:
-            from .codec import decode_tf_range
-
-            blk = self.blocks[(field, term)]
-            DECODE_STATS["tf_bytes_decoded"] += len(blk["tf_bytes"])
-            tfs = decode_tf_range(blk["tf_bytes"], blk["tf_end"], 0, len(blk["tf_end"]))
-            self.post[(field, term)] = (p[0], tfs)
-            self._pt.update_posting(field + FIELD_SEP + term, (
-                p[0], tfs, self.ttf[(field, term)], self.df[(field, term)], blk))
-            return tfs
-        return p[1]
+        return p[1] if p is not None else _EMPTY
 
     def tf_at(self, field: str, term: str, pos: np.ndarray) -> np.ndarray:
-        """tf values at positions ``pos`` (indices into the docs array).
-        Lazy-tf postings decode ONE contiguous block range covering the
-        touched positions (vectorized — never a per-block python loop);
-        when more than a quarter of the blocks are touched, fall through
-        to a full decode that is cached with the partition."""
+        """tf values at positions ``pos`` (indices into the docs array)."""
         p = self.post.get((field, term))
-        if p is None:
-            return _EMPTY
-        if p[1] is not None:
-            return p[1][pos]
-        if len(pos) == 0:
-            return np.empty(0, dtype=np.int64)
-        from .codec import decode_tf_range
-
-        blk = self.blocks[(field, term)]
-        cum = blk["count_cum"]  # end position of each block
-        bids = np.searchsorted(cum, pos, side="right")
-        b_lo, b_hi = int(bids.min()), int(bids.max()) + 1
-        if (b_hi - b_lo) * 4 >= len(cum):
-            return self.tfs(field, term)[pos]
-        t_lo = 0 if b_lo == 0 else int(blk["tf_end"][b_lo - 1])
-        DECODE_STATS["tf_bytes_decoded"] += int(blk["tf_end"][b_hi - 1]) - t_lo
-        tf_span = decode_tf_range(blk["tf_bytes"], blk["tf_end"], b_lo, b_hi)
-        base = 0 if b_lo == 0 else int(cum[b_lo - 1])
-        return tf_span[pos - base]
+        return p[1][pos] if p is not None else _EMPTY
 
 
 # position packing for the adjacency intersect: doc<<21 | shifted-pos —
@@ -336,8 +276,7 @@ _PHRASE_POS_BITS = np.int64(21)
 def _occ_keys(src: "PostingSource", tok: str, cand: np.ndarray) -> np.ndarray | None:
     """Packed (doc << POS_BITS | pos) occurrence keys of ``tok`` restricted
     to the candidate docs, strictly increasing (occurrence streams are
-    (doc asc, pos asc)); None when the restriction is empty. Partial tf
-    decode keeps the position reads proportional to the candidates."""
+    (doc asc, pos asc)); None when the restriction is empty."""
     occ = src.docs(POS_FIELD, tok)
     if len(occ) == 0:
         return None
@@ -363,9 +302,7 @@ def _eval_phrase(
     (doc, pos-k) collides across every k. Each token contributes to the
     signed collector exactly like an AND leaf, so scoring over the phrase
     answer equals the AND query's scores restricted to adjacent docs (the
-    SQL-mirrorable contract). Partial tf decode (``tf_at``) keeps the
-    position reads proportional to the CANDIDATE docs, not the term's
-    occurrence count."""
+    SQL-mirrorable contract)."""
     ff = filt.field_filters[0]
     toks = ff.values
     # positional streams exist for the text field only, and only when the
@@ -896,42 +833,16 @@ def _export_match_partition(index_dir: str, part: int, query: str,
 # ----------------------------------------------------------------- the engine
 
 
-def _merge_two(merged: list[Hit], cur: list[Hit], k: int) -> list[Hit]:
-    """FullTextAnswerMerger.merge two-pointer (ties → current)."""
-    out: list[Hit] = []
-    i = j = 0
-    while (i < len(merged) or j < len(cur)) and len(out) < k:
-        if i >= len(merged):
-            out.append(cur[j]); j += 1
-        elif j >= len(cur):
-            out.append(merged[i]); i += 1
-        elif _sort_key(merged[i]) < _sort_key(cur[j]):
-            out.append(merged[i]); i += 1
-        else:
-            out.append(cur[j]); j += 1
-    return out
-
-
-def _merge_hits(merged: list[Hit], hits: list[Hit], k: int,
-                collapse: str | None = None) -> list[Hit]:
-    """Fold the next partition's hits (in walk order) into the running
-    answer: the first non-empty answer is taken as it is, the rest go
-    through the ordered two-pointer merge (deduping collapse keys)."""
-    if not merged:
-        return hits[:k]
-    if collapse is not None:
-        return _merge_collapse_two(merged, hits, k, collapse)
-    return _merge_two(merged, hits, k)
-
-
-def _merge_collapse_two(merged: list[Hit], cur: list[Hit], k: int, key: str) -> list[Hit]:
-    """The ordered two-pointer merge with collapse-key dedup: the
-    better-ordered occurrence of a key wins and later ones are skipped
-    without consuming k. Each input list carries its partitions' per-key
-    BEST rep (search_partition collapses first), so the survivor of a
-    cross-partition dup is the key's global best — and a key outside one
-    partition's top-k is dominated there by k distinct better keys, so the
-    merged top-k-distinct-keys answer is exact."""
+def _merge_two(merged: list[Hit], cur: list[Hit], k: int,
+               key: str | None = None) -> list[Hit]:
+    """FullTextAnswerMerger.merge two-pointer (ties → current), truncated
+    to k. With a collapse ``key``, the better-ordered occurrence of a key
+    wins and later ones are skipped without consuming k. Each input list
+    carries its partitions' per-key BEST rep (search_partition collapses
+    first), so the survivor of a cross-partition dup is the key's global
+    best — and a key outside one partition's top-k is dominated there by k
+    distinct better keys, so the merged top-k-distinct-keys answer is
+    exact."""
     out: list[Hit] = []
     seen: set = set()
     i = j = 0
@@ -944,12 +855,23 @@ def _merge_collapse_two(merged: list[Hit], cur: list[Hit], k: int, key: str) -> 
             h = merged[i]; i += 1
         else:
             h = cur[j]; j += 1
-        kv = getattr(h, key)
-        if kv in seen:
-            continue
-        seen.add(kv)
+        if key is not None:
+            kv = getattr(h, key)
+            if kv in seen:
+                continue
+            seen.add(kv)
         out.append(h)
     return out
+
+
+def _merge_hits(merged: list[Hit], hits: list[Hit], k: int,
+                collapse: str | None = None) -> list[Hit]:
+    """Fold the next partition's hits (in walk order) into the running
+    answer: the first non-empty answer is taken as it is, the rest go
+    through the ordered two-pointer merge (deduping collapse keys)."""
+    if not merged:
+        return hits[:k]
+    return _merge_two(merged, hits, k, collapse)
 
 
 class PartitionSearcher:
@@ -1285,9 +1207,8 @@ class SearchEngine:
     ) -> int:
         """Match count without gathering any rows (Lucene
         IndexSearcher.count): the k=0 TIME path evaluates the filter +
-        masks per partition and returns only ``found`` — no scoring, no
-        forward gather, no tf decode (the lazy-tf postings never touch tf
-        bytes on this path)."""
+        masks per partition and returns only ``found`` — no scoring and no
+        forward gather."""
         return self.search(
             query, k=0, scoring="time", time_range=time_range,
             constraint=constraint, authz=authz, parallel=parallel,
@@ -1451,7 +1372,7 @@ class SearchEngine:
                 max_wild: int = DEFAULT_MAX_WILDCARD_EXPANSION) -> dict:
         """Query debugging (Lucene IndexSearcher.explain spirit): each
         spec's expansion on one partition (newest by default) and per-term
-        posting stats (df, Σtf, block count, lazy-tf)."""
+        posting stats (df, Σtf, block count)."""
         p = self.parts[0] if part is None else part
         use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
         filt = parse_query(query, use_stopwords=use_stop,
@@ -1463,12 +1384,10 @@ class SearchEngine:
         for field, v in specs:
             for t in src.expand(field, v):
                 blocks = src.blocks.get((field, t))
-                post = src.post.get((field, t))
                 terms[f"{field}:{t}"] = {
                     "df": src.df.get((field, t), 0),
                     "ttf": src.ttf.get((field, t), 0),
                     "n_blocks": len(blocks["first"]) if blocks else 0,
-                    "lazy_tf": bool(post is not None and post[1] is None),
                 }
         return {
             "part": p,

@@ -12,7 +12,7 @@ because segments are immutable (SURVEY.md §1.3):
       index.json                   # global config: n_parts, tokenizer, fields, version
       part=00042/
         postings.parquet           # one row per term_key: RUNS_SCHEMA (delta+varbyte
-                                   #   blocks + block-max metadata + df/ttf/max_tf),
+                                   #   blocks + per-block first doc/count + df/ttf),
                                    #   sorted by term_key in row groups of 1024
         forward.parquet            # doc_id, conv_id, turn_idx, role, tool, ts(us), dl
                                    #   (the activity/forward index + time index +
@@ -49,8 +49,11 @@ import pyarrow.parquet as pq
 FIELD_SEP = "\x1f"
 # positions are NOT a version bump: the on-disk format is purely additive
 # (extra POS_FIELD rows), detected via the global manifest's "positions"
-# flag — a v4 index stays fully readable
-INDEX_VERSION = 4  # v2: numeric-lex postings; v3: pairedLatest; v4: composite fields
+# flag. v5 drops the five posting columns no query read (max_tf,
+# blk_max_tf, blk_min_dl, blk_doc_end, blk_tf_end): every posting decodes
+# whole, so the block bounds and byte offsets had no reader but audit. The
+# doc and tf bytes are unchanged; a v4 index must be rebuilt.
+INDEX_VERSION = 5  # v2: numeric-lex postings; v3: pairedLatest; v4: composite fields
 
 # fields beside tokenized `text` indexed as single-term (tf=1) postings —
 # reference schema analogue: role/tool/conv_id are singleTerm fields
@@ -230,8 +233,11 @@ def write_global_manifest(index_dir: str, meta: dict) -> None:
 
 
 # The one posting codec (codec.py's delta+varbyte), recorded as index.json's
-# ``codec``. An index that names any other codec cannot be decoded, so it
-# refuses to open, extend, compact or audit.
+# ``codec`` beside the format ``version`` (INDEX_VERSION). An index that
+# names any other codec or version cannot be decoded, so it refuses to open,
+# extend, compact or audit: its partition manifests would read as absent and
+# every query would answer empty. ``build_index`` never reads index.json,
+# so a rebuild over it still works.
 POSTING_CODEC = "varbyte"
 
 
@@ -243,6 +249,11 @@ def read_global_manifest(index_dir: str) -> dict:
         raise ValueError(
             f"{index_dir}: index uses posting codec {codec!r}; "
             f"only {POSTING_CODEC!r} is supported"
+        )
+    if meta.get("version") != INDEX_VERSION:
+        raise ValueError(
+            f"{index_dir}: index format version {meta.get('version')!r} is not "
+            f"{INDEX_VERSION}; rebuild the index with build_index"
         )
     return meta
 
@@ -459,12 +470,6 @@ class Partition:
                 values[k] = v
                 lru[(self, k)] = None
 
-    def update_posting(self, key: str, entry: tuple) -> None:
-        """Replace a cached posting entry in place (no recency change)."""
-        with _LOCK:
-            if key in self.postings:
-                self.postings[key] = entry
-
     def nbytes(self) -> int:
         """Resident bytes of the term dictionary and the forward columns, as
         far as they are loaded (the query caches are not counted)."""
@@ -515,13 +520,8 @@ def partition(index_dir: str, part: int) -> Partition:
 
 
 # the posting columns a query decodes (search.PostingSource). The other
-# seven (part, first/last doc, max_tf, blk_doc_end, blk_max_tf, blk_min_dl)
-# serve the merge, the zone-map reads and audit; decoding them too made a
-# row-group read slower
-POSTING_COLUMNS = [
-    "term", "doc_bytes", "tf_bytes", "n_blocks", "ttf", "df",
-    "blk_first", "blk_count", "blk_tf_end",
-]
+# four (part, first/last doc, n_blocks) serve the merge and audit
+POSTING_COLUMNS = ["term", "doc_bytes", "tf_bytes", "ttf", "df", "blk_first", "blk_count"]
 
 
 def read_postings_for_terms(index_dir: str, part: int, keys: list[str]) -> pa.Table:

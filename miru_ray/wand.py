@@ -11,11 +11,9 @@ same two functions:
 * ``score_exact`` — the fp32 term-sorted accumulation over a sorted doc
   set (plus lmd's length prior).
 
-Lazy tf: posting docIds decode once (the set algebra needs them), but tf
-bytes of large postings decode per touched block only during scoring
-(codec.decode_tf_range via PostingSource.tf_at) — the partial-decode
-scale path for hot terms; search.DECODE_STATS reports the realized byte
-savings.
+tf values are read from the posting's decoded tf array
+(PostingSource.tf_at): every posting decodes whole, docs and tfs, when a
+partition first reads it.
 """
 
 from __future__ import annotations
@@ -73,9 +71,7 @@ def score_exact(src, mults, answer: np.ndarray, scoring: str, avg_dl: float,
     """fp32 scores of the sorted docIds ``answer`` under the ``mults`` of
     ``term_multipliers``: per term in order, ref_tfidf adds m·tf, bm25
     m·tf/(tf + k1·(1 - b + b·dl/avgdl)) and lmd m·ln(1 + tf·T/(μ·Σtf));
-    lmd then adds its length prior |q|·ln(μ/(dl + μ)) to every doc. tf
-    values come through PostingSource.tf_at (block-partial decode for
-    lazy-tf postings)."""
+    lmd then adds its length prior |q|·ln(μ/(dl + μ)) to every doc."""
     scores = np.zeros(len(answer), dtype=np.float32)
     if len(answer) == 0:
         return scores

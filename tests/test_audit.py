@@ -61,7 +61,7 @@ def _real_term_row(idx, part, min_df=1):
     [
         ("df", 1, "df"),
         ("ttf", 5, "ttf"),
-        ("max_tf", 3, "max_tf"),
+        ("n_blocks", 1, "blk-count"),
         ("first_doc", 1, "doc-range"),
     ],
 )

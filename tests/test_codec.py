@@ -33,13 +33,12 @@ def test_varbyte_small_values_one_byte():
     assert len(buf) == 128
 
 
-def _encode_one_term(docs, tfs, dls, part=0, term="x"):
+def _encode_one_term(docs, tfs, part=0, term="x"):
     return encode_runs(
         part,
         np.zeros(len(docs), dtype=np.int64),
         docs,
         tfs,
-        dls,
         pa.array([term], type=pa.large_string()),
     )
 
@@ -49,8 +48,7 @@ def test_encode_decode_roundtrip(n):
     rng = np.random.default_rng(n)
     docs = np.sort(rng.choice(10 * n, size=n, replace=False))
     tfs = rng.integers(1, 50, n)
-    dls = rng.integers(5, 200, n)
-    runs = _encode_one_term(docs, tfs, dls)
+    runs = _encode_one_term(docs, tfs)
     assert runs.num_rows == 1
     d, t = decode_posting(
         runs["doc_bytes"][0].as_py(),
@@ -62,23 +60,19 @@ def test_encode_decode_roundtrip(n):
     np.testing.assert_array_equal(t, tfs)
     assert runs["df"][0].as_py() == n
     assert runs["ttf"][0].as_py() == tfs.sum()
-    assert runs["max_tf"][0].as_py() == tfs.max()
     assert runs["first_doc"][0].as_py() == docs[0]
     assert runs["last_doc"][0].as_py() == docs[-1]
-    # block-max invariants
+    # block invariants
     bf = np.asarray(runs["blk_first"][0].as_py())
     bc = np.asarray(runs["blk_count"][0].as_py())
-    bm = np.asarray(runs["blk_max_tf"][0].as_py())
-    assert bc.sum() == n
+    assert bc.sum() == n and runs["n_blocks"][0].as_py() == len(bc)
     starts = np.concatenate([[0], np.cumsum(bc)[:-1]])
-    for i, (s, c) in enumerate(zip(starts, bc)):
-        assert bf[i] == docs[s]
-        assert bm[i] == tfs[s : s + c].max()
+    np.testing.assert_array_equal(bf, docs[starts])
 
 
 def test_multi_term_multi_part_runs():
     # interleaved (part, term) groups, sorted by (part, term code, doc)
-    parts, codes, docs, tfs, dls = [], [], [], [], []
+    parts, codes, docs, tfs = [], [], [], []
     rng = np.random.default_rng(7)
     expect = {}
     dict_terms = ["aa", "bb", "cc"]
@@ -92,13 +86,11 @@ def test_multi_term_multi_part_runs():
             codes.append(np.full(n, code))
             docs.append(d)
             tfs.append(f)
-            dls.append(rng.integers(1, 100, n))
     runs = encode_runs(
         np.concatenate(parts),
         np.concatenate(codes),
         np.concatenate(docs),
         np.concatenate(tfs),
-        np.concatenate(dls),
         pa.array(dict_terms, type=pa.large_string()),
     )
     assert runs.num_rows == 6
@@ -125,7 +117,7 @@ def test_merge_runs_disjoint_ranges():
     tables = []
     for ch in chunks:
         tables.append(
-            _encode_one_term(all_docs[ch], all_tfs[ch], np.full(len(ch), 50), term="zz")
+            _encode_one_term(all_docs[ch], all_tfs[ch], term="zz")
         )
     merged = merge_runs(pa.concat_tables(tables))
     assert merged.num_rows == 1
@@ -143,4 +135,4 @@ def test_merge_runs_disjoint_ranges():
 
 def test_encode_rejects_unsorted_docs():
     with pytest.raises(ValueError):
-        _encode_one_term([5, 3], [1, 1], [10, 10])
+        _encode_one_term([5, 3], [1, 1])

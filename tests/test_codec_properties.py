@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from miru_ray.codec import (
     RUNS_SCHEMA,
     decode_posting,
-    decode_tf_range,
     encode_runs,
     merge_runs,
     varbyte_decode,
@@ -59,24 +58,20 @@ def posting(draw):
         draw(st.lists(st.integers(min_value=1, max_value=500), min_size=n, max_size=n)),
         dtype=np.int64,
     )
-    dls = np.asarray(
-        draw(st.lists(st.integers(min_value=1, max_value=400), min_size=n, max_size=n)),
-        dtype=np.int64,
-    )
-    return docs, tfs, dls
+    return docs, tfs
 
 
-def _encode(docs, tfs, dls):
+def _encode(docs, tfs):
     """One run of the single term "x" in partition 0."""
-    return encode_runs(0, np.zeros(len(docs), dtype=np.int64), docs, tfs, dls,
+    return encode_runs(0, np.zeros(len(docs), dtype=np.int64), docs, tfs,
                        pa.array(["x"], type=pa.large_string()))
 
 
 @given(posting())
 @settings(max_examples=100, deadline=None)
 def test_posting_encode_decode_identity(p):
-    docs, tfs, dls = p
-    t = _encode(docs, tfs, dls)
+    docs, tfs = p
+    t = _encode(docs, tfs)
     assert t.num_rows == 1
     d, f = decode_posting(
         t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(),
@@ -86,14 +81,11 @@ def test_posting_encode_decode_identity(p):
     np.testing.assert_array_equal(f, tfs)
     assert t["df"][0].as_py() == len(docs)
     assert t["ttf"][0].as_py() == int(tfs.sum())
-    assert t["max_tf"][0].as_py() == int(tfs.max())
-    # block-max metadata is consistent with content
+    # block metadata is consistent with content
     counts = np.asarray(t["blk_count"][0].as_py())
-    assert counts.sum() == len(docs)
-    bmax = np.asarray(t["blk_max_tf"][0].as_py())
+    assert counts.sum() == len(docs) and t["n_blocks"][0].as_py() == len(counts)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    for i, (s, c) in enumerate(zip(starts, counts)):
-        assert bmax[i] == tfs[s : s + c].max()
+    np.testing.assert_array_equal(np.asarray(t["blk_first"][0].as_py()), docs[starts])
 
 
 @given(posting(), st.lists(st.integers(min_value=1, max_value=299), max_size=5))
@@ -101,13 +93,13 @@ def test_posting_encode_decode_identity(p):
 def test_merge_runs_split_invariance(p, cut_points):
     """Splitting a posting into arbitrary consecutive runs and merging must
     reproduce the single-run decode exactly."""
-    docs, tfs, dls = p
+    docs, tfs = p
     cuts = sorted({c for c in cut_points if c < len(docs)})
     bounds = [0] + cuts + [len(docs)]
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            parts.append(_encode(docs[lo:hi], tfs[lo:hi], dls[lo:hi]))
+            parts.append(_encode(docs[lo:hi], tfs[lo:hi]))
     merged = merge_runs(pa.concat_tables(parts)) if parts else RUNS_SCHEMA.empty_table()
     assert merged.num_rows == 1
     d, f = decode_posting(
@@ -123,10 +115,10 @@ def test_merge_runs_split_invariance(p, cut_points):
 @given(posting(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_block_range_decode(p, data):
-    """decode_tf_range over any block window == the corresponding slice of
-    the full decode, after a merge of arbitrary consecutive runs; the
-    merged block byte-end offsets close on the posting's bytes."""
-    docs, tfs, dls = p
+    """After a merge of arbitrary consecutive runs, the whole decode gives,
+    for any block window, that window's docs and tfs: the window starts at
+    its first block's ``blk_first`` and spans its blocks' ``blk_count``."""
+    docs, tfs = p
     cuts = sorted(
         set(
             data.draw(
@@ -137,23 +129,23 @@ def test_block_range_decode(p, data):
     )
     bounds = [0] + [c for c in cuts if c < len(docs)] + [len(docs)]
     parts = [
-        _encode(docs[lo:hi], tfs[lo:hi], dls[lo:hi])
+        _encode(docs[lo:hi], tfs[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
     t = merge_runs(pa.concat_tables(parts))
     assert t.num_rows == 1
-    tf_bytes = t["tf_bytes"][0].as_py()
     blk_first = np.asarray(t["blk_first"][0].as_py())
     blk_count = np.asarray(t["blk_count"][0].as_py())
-    blk_tf_end = np.asarray(t["blk_tf_end"][0].as_py())
     n_blocks = len(blk_first)
-    assert t["blk_doc_end"][0].as_py()[-1] == len(t["doc_bytes"][0].as_py())
-    assert blk_tf_end[-1] == len(tf_bytes)
-    d, _ = decode_posting(t["doc_bytes"][0].as_py(), None, blk_first, blk_count)
-    np.testing.assert_array_equal(d, docs)
+    assert t["n_blocks"][0].as_py() == n_blocks
+    d, f = decode_posting(
+        t["doc_bytes"][0].as_py(), t["tf_bytes"][0].as_py(), blk_first, blk_count
+    )
     b_lo = data.draw(st.integers(min_value=0, max_value=n_blocks - 1))
     b_hi = data.draw(st.integers(min_value=b_lo + 1, max_value=n_blocks))
-    f = decode_tf_range(tf_bytes, blk_tf_end, b_lo, b_hi)
     starts = np.concatenate([[0], np.cumsum(blk_count)])
-    np.testing.assert_array_equal(f, tfs[int(starts[b_lo]):int(starts[b_hi])])
+    lo, hi = int(starts[b_lo]), int(starts[b_hi])
+    assert d[lo] == blk_first[b_lo]
+    np.testing.assert_array_equal(d[lo:hi], docs[lo:hi])
+    np.testing.assert_array_equal(f[lo:hi], tfs[lo:hi])

@@ -230,20 +230,19 @@ def test_merge_runs_rejects_overlapping_runs():
     POS_FIELD occurrence stream, whose repeated docIds are its data. Runs
     that only touch (a text run starting one doc after the previous one
     ends) still merge."""
-    dl = np.full(3, 10, dtype=np.int64)
     z = np.zeros(3, dtype=np.int64)
     for term, strict, d1, d2 in [
         ("text\x1fterm", True, [3, 5, 7], [7, 8, 9]),
         (POS_FIELD + "\x1fterm", False, [3, 3, 7], [3, 7, 7]),
     ]:
         dict_terms = pa.array([term], type=pa.large_string())
-        r1 = encode_runs(2, z, np.array(d1), np.array([0, 5, 2]), dl, dict_terms, strict=strict)
-        r2 = encode_runs(2, z, np.array(d2), np.array([9, 0, 4]), dl, dict_terms, strict=strict)
+        r1 = encode_runs(2, z, np.array(d1), np.array([0, 5, 2]), dict_terms, strict=strict)
+        r2 = encode_runs(2, z, np.array(d2), np.array([9, 0, 4]), dict_terms, strict=strict)
         with pytest.raises(ValueError, match=r"part 2 term .*term'"):
             merge_runs(pa.concat_tables([r2, r1]))
     dict_terms = pa.array(["text\x1fterm"], type=pa.large_string())
-    r1 = encode_runs(2, z, np.array([3, 5, 7]), z + 1, dl, dict_terms)
-    r2 = encode_runs(2, z, np.array([8, 9, 12]), z + 1, dl, dict_terms)
+    r1 = encode_runs(2, z, np.array([3, 5, 7]), z + 1, dict_terms)
+    r2 = encode_runs(2, z, np.array([8, 9, 12]), z + 1, dict_terms)
     assert merge_runs(pa.concat_tables([r2, r1]))["df"].to_pylist() == [6]
 
 
@@ -259,8 +258,7 @@ def test_codec_nonstrict_roundtrip():
         pos[m] = np.sort(rng.choice(10_000, size=int(m.sum()), replace=False))
     codes = np.zeros(len(doc), dtype=np.int64)
     dict_terms = pa.array([POS_FIELD + "\x1fterm"], type=pa.large_string())
-    dl = np.full(len(doc), 10_000, dtype=np.int64)
-    runs = encode_runs(0, codes, doc, pos, dl, dict_terms, strict=False)
+    runs = encode_runs(0, codes, doc, pos, dict_terms, strict=False)
     got_d, got_p = decode_posting(
         runs["doc_bytes"][0].as_py(), runs["tf_bytes"][0].as_py(),
         np.asarray(runs["blk_first"][0].as_py()), np.asarray(runs["blk_count"][0].as_py()),
@@ -269,15 +267,13 @@ def test_codec_nonstrict_roundtrip():
     np.testing.assert_array_equal(got_p, pos)
     # strict mode still rejects duplicates
     with pytest.raises(ValueError):
-        encode_runs(0, codes, doc, pos, dl, dict_terms, strict=True)
+        encode_runs(0, codes, doc, pos, dict_terms, strict=True)
     # merge of two disjoint-docId-range runs concatenates losslessly
     half = len(doc) // 2
     while half < len(doc) and doc[half] == doc[half - 1]:
         half += 1
-    r1 = encode_runs(0, codes[:half], doc[:half], pos[:half], dl[:half],
-                     dict_terms, strict=False)
-    r2 = encode_runs(0, codes[half:], doc[half:], pos[half:], dl[half:],
-                     dict_terms, strict=False)
+    r1 = encode_runs(0, codes[:half], doc[:half], pos[:half], dict_terms, strict=False)
+    r2 = encode_runs(0, codes[half:], doc[half:], pos[half:], dict_terms, strict=False)
     merged = merge_runs(pa.concat_tables([r1, r2]))
     md, mp = decode_posting(
         merged["doc_bytes"][0].as_py(), merged["tf_bytes"][0].as_py(),

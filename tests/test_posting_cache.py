@@ -102,20 +102,15 @@ def test_epoch_bump_invalidates_without_serving_stale(idx1, monkeypatch, drop_re
     assert all(pt is new for pt, _ in SG._POSTING_LRU)
 
 
-def _per_row_reference(t, i, lazy):
+def _per_row_reference(t, i):
     """One posting row unpacked scalar by scalar (the pre-columnar decode)."""
     from miru_ray.codec import decode_posting
 
     blk_first = np.asarray(t["blk_first"][i].as_py())
     blk_count = np.asarray(t["blk_count"][i].as_py())
-    tf_raw = t["tf_bytes"][i].as_py()
-    docs, tfs = decode_posting(t["doc_bytes"][i].as_py(), None if lazy else tf_raw,
+    docs, tfs = decode_posting(t["doc_bytes"][i].as_py(), t["tf_bytes"][i].as_py(),
                                blk_first, blk_count)
     blocks = {"first": blk_first, "count": blk_count}
-    if lazy:
-        blocks["tf_bytes"] = tf_raw
-        blocks["tf_end"] = np.asarray(t["blk_tf_end"][i].as_py(), dtype=np.int64)
-        blocks["count_cum"] = np.cumsum(blk_count.astype(np.int64))
     return docs, tfs, int(t["ttf"][i].as_py()), int(t["df"][i].as_py()), blocks
 
 
@@ -129,26 +124,20 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("lazy_blocks", [S.LAZY_TF_BLOCKS, 2])
-def test_column_unpacking_matches_per_row(idx1, monkeypatch, lazy_blocks, drop_resident):
+def test_column_unpacking_matches_per_row(idx1, drop_resident):
     """PostingSource converts each column once per read; the cache entries
-    (docs, tfs, ttf, df, blocks — eager and lazy-tf) and the negative
-    entries equal a scalar-by-scalar unpacking of the same rows."""
+    (docs, tfs, ttf, df, blocks) and the negative entries equal a
+    scalar-by-scalar unpacking of the same rows."""
     from miru_ray.segments import read_postings_for_terms
 
     drop_resident()
-    monkeypatch.setattr(S, "LAZY_TF_BLOCKS", lazy_blocks)
     terms = [k.split(FIELD_SEP, 1) for k in SG.partition(idx1, 0).dictionary.terms.tolist()]
     specs = [tuple(ft) for ft in terms[::11]] + [("text", "zz_absent_term")]
     PostingSource(idx1, 0, specs, 0)
     t = read_postings_for_terms(idx1, 0, [f + FIELD_SEP + v for f, v in specs])
     cached = dict(SG.partition(idx1, 0).postings)
     assert len(cached) == len(specs) and t.num_rows == len(specs) - 1
-    n_lazy = 0
     for i in range(t.num_rows):
-        lazy = t["n_blocks"][i].as_py() >= lazy_blocks
-        n_lazy += lazy
         key = t["term"][i].as_py()
-        assert _same(cached[key], _per_row_reference(t, i, lazy)), key
-    assert (n_lazy > 0) == (lazy_blocks == 2)
+        assert _same(cached[key], _per_row_reference(t, i)), key
     assert cached["text" + FIELD_SEP + "zz_absent_term"] is None  # negative entry

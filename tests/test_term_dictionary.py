@@ -122,9 +122,6 @@ def handwritten(tmp_path_factory):
         "tf_bytes": pa.array([t.encode()[:3] for t in terms], pa.large_binary()),
         "blk_first": blocks(i % 97),
         "blk_count": blocks(i % 5),
-        "blk_max_tf": blocks(i % 7),
-        "blk_min_dl": blocks(i % 11),
-        "blk_tf_end": pa.array([[1, 3]] * n, pa.large_list(pa.int64())),
     })
     os.makedirs(part_dir(d, 0))
     pq.write_table(t, os.path.join(part_dir(d, 0), "postings.parquet"), row_group_size=RG)

@@ -3,15 +3,19 @@
 Re-implements the reference's query path (SURVEY.md §3.3;
 FullTextCustomQuestion.askLocal → MiruAggregateUtil.filter →
 FullText.collectTfIdf → FullTextAnswerMerger.merge) over our segment
-layout: the query plan (parsed filter AST + scoring config) is sent to the
-partition-pinned actor pool when Ray is in use, and asked of each partition
-serially in process otherwise. Each partition is read through its resident
-``segments.Partition`` (manifest, term dictionary, forward columns and the
-decoded-posting, expansion and authz caches, all at the partition's
-manifest epoch); it looks its terms up in the term dictionary, reads only
-the row groups that hold them and decodes each posting whole (docs and
-tfs), then does sorted-array set algebra, fp32 scoring and a local top-k;
-the driver does the exact two-pointer ordered merge.
+layout: the engine parses the query once, and the query plan (parsed filter
+AST + scoring config) is sent to the partition-pinned actor pool when Ray
+is in use, and asked of each partition serially in process otherwise. Each
+partition is read through its resident ``segments.Partition`` (manifest,
+term dictionary, forward columns and the decoded-posting, expansion and
+authz caches, all at the partition's manifest epoch); it looks its terms up
+in the term dictionary, reads only the row groups that hold them and
+decodes each posting whole (docs and tfs). Its kernel is dense over the
+partition's docIds, like the reference's bitmaps: the set algebra goes
+through bool[n_docs] membership masks (sets stay sorted docId arrays), and
+the scorer scatter-adds each term's whole posting into one fp32 accumulator
+over the docs; then a local top-k. The engine, in the calling process,
+does the exact two-pointer ordered merge.
 
 Rank-identity contract (tested against the pure-python oracle):
 * signed term collector (±1 per collected term occurrence, sign flips for
@@ -36,7 +40,8 @@ Rank-identity contract (tested against the pure-python oracle):
   disjoint and the walk DOES stop early (see SearchEngine.search);
 * merge: partitions newest→oldest (descending part id), two-pointer
   truncated to k, taking from the running merge iff strictly less — ties
-  go to the current partition (FullTextAnswerMerger.java:56-63);
+  go to the current partition (FullTextAnswerMerger.java:56-63), so a
+  (score, ts) tie across partitions orders by part id ascending;
   ``found`` sums the per-partition answer cardinalities.
 
 BM25 mode (the north star's scoring engine) uses the same machinery with
@@ -176,6 +181,22 @@ def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
         )
 
 
+def _parse(index_dir: str, query: str | Filter, use_stopwords: bool,
+           synonyms: dict[str, list[str]] | None = None) -> Filter:
+    """The filter of ``query`` (a ``Filter`` is taken as already parsed)
+    under the index's analyzer, ``synonyms`` expanded."""
+    analyzer = _analyzer_name(index_dir)
+    if isinstance(query, Filter):
+        filt = query
+    else:
+        filt = parse_query(query, use_stopwords=use_stopwords, analyzer=analyzer)
+    if synonyms:
+        from .filters import expand_synonyms
+
+        filt = expand_synonyms(filt, synonyms, analyzer=analyzer)
+    return filt
+
+
 def _list_rows(col) -> list[np.ndarray]:
     """A list<int> column as one int64 array per row (views of one buffer)."""
     import pyarrow.compute as pc
@@ -216,7 +237,7 @@ class PostingSource:
         self.post: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self.ttf: dict[tuple[str, str], int] = {}
         self.df: dict[tuple[str, str], int] = {}
-        self.blocks: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+        self.n_blocks: dict[tuple[str, str], int] = {}
         self._pt = partition(index_dir, part)
         hits, misses = self._pt.cached("postings", sorted(keys))
         for k, hit in hits.items():
@@ -233,14 +254,13 @@ class PostingSource:
             entries: dict[str, tuple | None] = dict.fromkeys(misses)  # None: absent
             for i, key_str in enumerate(terms):
                 docs, tfs = decode_posting(doc_bytes[i], tf_bytes[i], firsts[i], counts[i])
-                blocks = {"first": firsts[i], "count": counts[i]}
-                entries[key_str] = (docs, tfs, ttfs[i], dfs[i], blocks)
+                entries[key_str] = (docs, tfs, ttfs[i], dfs[i], len(counts[i]))
                 self._put(key_str, entries[key_str])
             self._pt.cache("postings", entries)
 
     def _put(self, key_str: str, entry: tuple) -> None:
         field_term = tuple(key_str.split(FIELD_SEP, 1))
-        docs, tfs, self.ttf[field_term], self.df[field_term], self.blocks[field_term] = entry
+        docs, tfs, self.ttf[field_term], self.df[field_term], self.n_blocks[field_term] = entry
         self.post[field_term] = (docs, tfs)
 
     def expand(self, field: str, value: str) -> list[str]:
@@ -261,10 +281,48 @@ class PostingSource:
         p = self.post.get((field, term))
         return p[1] if p is not None else _EMPTY
 
-    def tf_at(self, field: str, term: str, pos: np.ndarray) -> np.ndarray:
-        """tf values at positions ``pos`` (indices into the docs array)."""
-        p = self.post.get((field, term))
-        return p[1][pos] if p is not None else _EMPTY
+    @property
+    def n_docs(self) -> int:
+        """The partition's doc count: the size of its membership masks."""
+        return self._pt.manifest["metrics"]["n_docs"]
+
+
+# --------------------------------------------------------------- set algebra
+#
+# A set is a sorted int64 docId array. An AND or a NOT scatters one operand
+# into a bool[n_docs] membership mask and filters the other through it (the
+# filtered operand stays sorted); an n-ary union scatters every operand into
+# one mask and reads it back with flatnonzero. A lone operand is returned as
+# it is, so a single-posting leaf builds no mask. A docId outside
+# [0, n_docs) raises IndexError.
+
+
+def _member(arrs: list[np.ndarray], n_docs: int) -> np.ndarray:
+    """The bool[n_docs] membership mask of the union of ``arrs``."""
+    m = np.zeros(n_docs, dtype=bool)
+    for a in arrs:
+        m[a] = True
+    return m
+
+
+def _intersect(a: np.ndarray, b: np.ndarray, n_docs: int) -> np.ndarray:
+    """a ∩ b: the longer operand is scattered, the shorter filtered."""
+    if len(a) > len(b):
+        a, b = b, a
+    return a[_member([b], n_docs)[a]]
+
+
+def _difference(a: np.ndarray, negs: list[np.ndarray], n_docs: int) -> np.ndarray:
+    """a minus the union of ``negs``."""
+    return a[~_member(negs, n_docs)[a]]
+
+
+def _union(arrs: list[np.ndarray], n_docs: int) -> np.ndarray:
+    """The union of ``arrs``, sorted."""
+    arrs = [a for a in arrs if len(a)]
+    if len(arrs) <= 1:
+        return arrs[0] if arrs else _EMPTY
+    return np.flatnonzero(_member(arrs, n_docs))
 
 
 # position packing for the adjacency intersect: doc<<21 | shifted-pos —
@@ -273,19 +331,16 @@ class PostingSource:
 _PHRASE_POS_BITS = np.int64(21)
 
 
-def _occ_keys(src: "PostingSource", tok: str, cand: np.ndarray) -> np.ndarray | None:
+def _occ_keys(src: "PostingSource", tok: str, in_cand: np.ndarray) -> np.ndarray | None:
     """Packed (doc << POS_BITS | pos) occurrence keys of ``tok`` restricted
-    to the candidate docs, strictly increasing (occurrence streams are
-    (doc asc, pos asc)); None when the restriction is empty."""
+    to the candidate docs (membership mask ``in_cand``), strictly increasing
+    (occurrence streams are (doc asc, pos asc)); None when the restriction
+    is empty."""
     occ = src.docs(POS_FIELD, tok)
-    if len(occ) == 0:
-        return None
-    idx = np.searchsorted(cand, occ)
-    ok = (idx < len(cand)) & (cand[np.minimum(idx, len(cand) - 1)] == occ)
-    sel = np.flatnonzero(ok)
+    sel = np.flatnonzero(in_cand[occ])
     if len(sel) == 0:
         return None
-    pos = src.tf_at(POS_FIELD, tok, sel).astype(np.int64)
+    pos = src.tfs(POS_FIELD, tok)[sel]
     fit = pos < (np.int64(1) << _PHRASE_POS_BITS)
     return (occ[sel[fit]] << _PHRASE_POS_BITS) | pos[fit]
 
@@ -326,14 +381,16 @@ def _eval_phrase(
         for t in toks:
             key = (ff.field, t)
             collector[key] = collector.get(key, 0) + inc
+    n_docs = src.n_docs
     cand: np.ndarray | None = None
     for t in dict.fromkeys(toks):  # unique, order-preserving
         d = src.docs(ff.field, t)
         if len(d) == 0:
             return _EMPTY
-        cand = d if cand is None else np.intersect1d(cand, d, assume_unique=True)
+        cand = d if cand is None else _intersect(cand, d, n_docs)
         if len(cand) == 0:
             return _EMPTY
+    in_cand = _member([cand], n_docs)
     win = np.int64(filt.slop + 1)
     if not filt.ordered:
         # unordered two-term near (SpanNearQuery inOrder=false analogue,
@@ -341,8 +398,8 @@ def _eval_phrase(
         # 1 ≤ |pos_a − pos_b| ≤ slop+1. One two-sided searchsorted window
         # probe of b's packed keys into a's — symmetric by construction,
         # same-doc enforced by clamping the window at the doc's key range.
-        ka = _occ_keys(src, toks[0], cand)
-        kb = _occ_keys(src, toks[1], cand)
+        ka = _occ_keys(src, toks[0], in_cand)
+        kb = _occ_keys(src, toks[1], in_cand)
         if ka is None or kb is None:
             return _EMPTY
         base = (kb >> _PHRASE_POS_BITS) << _PHRASE_POS_BITS
@@ -363,7 +420,7 @@ def _eval_phrase(
     # Each step is two searchsorted passes — no per-doc python.
     state: np.ndarray | None = None
     for t in toks:
-        k = _occ_keys(src, t, cand)
+        k = _occ_keys(src, t, in_cand)
         if k is None:
             return _EMPTY
         if state is None:
@@ -388,9 +445,11 @@ def eval_filter_np(
     term_in: bool = True,
 ) -> np.ndarray:
     """filterInOut over sorted int64 docId arrays
-    (MiruAggregateUtil.java:1123-1202). The extra ``phrase`` op (no
-    reference analogue — LuceneBackedQueryParser.java:106-109 throws on
-    PhraseQuery) verifies token adjacency against the positional index."""
+    (MiruAggregateUtil.java:1123-1202), by membership-mask set algebra
+    (``_intersect`` / ``_difference`` / ``_union``). The extra ``phrase``
+    op (no reference analogue — LuceneBackedQueryParser.java:106-109
+    throws on PhraseQuery) verifies token adjacency against the positional
+    index."""
     if filt.op == "phrase":
         return _eval_phrase(filt, src, collector, term_in)
     operands: list[np.ndarray] = []
@@ -409,14 +468,7 @@ def eval_filter_np(
         if filt.op == "and" and not terms:
             return _EMPTY
         if terms:
-            arrs = [src.docs(ff.field, t) for t in terms]
-            arrs = [a for a in arrs if len(a)]
-            if len(arrs) == 0:
-                operands.append(_EMPTY)
-            elif len(arrs) == 1:
-                operands.append(arrs[0])
-            else:
-                operands.append(np.unique(np.concatenate(arrs)))
+            operands.append(_union([src.docs(ff.field, t) for t in terms], n_docs))
     for sub in filt.sub_filters:
         sub_term_in = (not term_in) if (filt.op == "pButNotQ" and operands) else term_in
         operands.append(eval_filter_np(sub, src, n_docs, collector, sub_term_in))
@@ -427,23 +479,15 @@ def eval_filter_np(
         for o in operands[1:]:
             if len(r) == 0:
                 return _EMPTY
-            r = np.intersect1d(r, o, assume_unique=True)
+            r = _intersect(r, o, n_docs)
         return r
     if filt.op == "or":
-        nonempty = [o for o in operands if len(o)]
-        if not nonempty:
-            return _EMPTY
-        if len(nonempty) == 1:
-            return nonempty[0]
-        return np.unique(np.concatenate(nonempty))
+        return _union(operands, n_docs)
     if filt.op == "pButNotQ":
-        r = operands[0]
-        for o in operands[1:]:
-            if len(r) == 0:
-                return _EMPTY
-            if len(o):
-                r = np.setdiff1d(r, o, assume_unique=True)
-        return r
+        r, negs = operands[0], [o for o in operands[1:] if len(o)]
+        if len(r) == 0:
+            return _EMPTY
+        return _difference(r, negs, n_docs) if negs else r
     raise ValueError(filt.op)
 
 
@@ -464,9 +508,7 @@ def authz_mask(index_dir: str, part: int, authz: tuple[str, tuple[str, ...]],
     hit = pt.cached("authz", [key])[0].get(key)
     if hit is None:
         src = PostingSource(index_dir, part, [(field, v) for v in values], 0)
-        arrs = [src.docs(field, v) for v in values]
-        arrs = [a for a in arrs if len(a)]
-        hit = np.unique(np.concatenate(arrs)) if arrs else _EMPTY
+        hit = _union([src.docs(field, v) for v in values], n_docs)
         pt.cache("authz", {key: hit})
     return hit
 
@@ -514,15 +556,17 @@ def expand_spec(index_dir: str, part: int, field: str, v: str) -> list[str]:
 def _after_mask(part: int, answer: np.ndarray, scores: np.ndarray,
                 ts_all: np.ndarray, after: tuple) -> np.ndarray:
     """Strictly-after-the-cursor mask in the realized total answer order
-    (score desc, ts desc, part desc, doc_id desc). The cursor's score is
-    compared in fp32 — the engine's own score dtype — so a Hit handed back
-    verbatim always resumes exactly where the page ended."""
+    (score desc, ts desc, part asc, doc_id desc): the merge walks the
+    partitions newest→oldest (descending part id) and gives a (score, ts)
+    tie to the current, lower, part. The cursor's score is compared in
+    fp32 — the engine's own score dtype — so a Hit handed back verbatim
+    always resumes exactly where the page ended."""
     a_s, a_ts, a_p, a_d = after
     a_s = F32(a_s)
     lt = scores < a_s
     eq = scores == a_s
     ts_lt = ts_all < a_ts
-    if part < a_p:
+    if part > a_p:
         within = ts_all == a_ts
     elif part == a_p:
         within = (ts_all == a_ts) & (answer < a_d)
@@ -534,7 +578,7 @@ def _after_mask(part: int, answer: np.ndarray, scores: np.ndarray,
 def search_partition(
     index_dir: str,
     part: int,
-    query: str,
+    query: str | Filter,
     k: int,
     scoring: str = "ref_tfidf",
     time_range: tuple[int, int] | None = None,
@@ -554,6 +598,9 @@ def search_partition(
     evaluated and, under a relevance scorer, scored exactly
     (wand.score_exact) before the local top-k.
 
+    ``query`` is a query string, parsed here with the index's analyzer, or
+    the ``Filter`` the engine parsed once for every partition it asks.
+
     ``collapse`` — field collapsing (Lucene CollapsingTopDocsCollector):
     at most one hit per distinct value of the named forward field
     (``conv_id`` or ``role``), each group represented by its best-ordered
@@ -565,7 +612,7 @@ def search_partition(
 
     ``after`` = (score, ts, part, doc_id) — deep-pagination cursor (Lucene
     IndexSearcher.searchAfter): only docs strictly AFTER the cursor in the
-    engine's realized total answer order (score desc, ts desc, part desc,
+    engine's realized total answer order (score desc, ts desc, part asc,
     doc_id desc — the per-partition heap tie-break plus the merge's
     tie-to-current rule) are admitted to the top-k. ``found`` still counts
     the full match set (Lucene reports totalHits the same way)."""
@@ -586,13 +633,7 @@ def search_partition(
     n_docs = metrics["n_docs"]
     avg_dl = metrics.get("avg_dl") or metrics["total_tokens"] / max(1, n_docs)
     total_tokens = float(metrics.get("total_tokens") or avg_dl * n_docs)
-    filt = parse_query(query, use_stopwords=use_stopwords,
-                       analyzer=_analyzer_name(index_dir))
-    if synonyms:
-        from .filters import expand_synonyms
-
-        filt = expand_synonyms(filt, synonyms,
-                               analyzer=_analyzer_name(index_dir))
+    filt = _parse(index_dir, query, use_stopwords, synonyms)
     if _has_phrase(filt) and not _index_has_positions(index_dir):
         raise ValueError(
             'phrase queries ("...") need an index built with positions=True '
@@ -690,15 +731,11 @@ def match_set(index_dir: str, part: int, filt: Filter | None, src: PostingSource
     if len(removed) and len(answer):
         # index mask: universe minus the removal index (buildIndexMask,
         # MiruBitmapsRoaring.java:492-503)
-        answer = np.setdiff1d(answer, removed, assume_unique=True)
+        answer = _difference(answer, [removed], n_docs)
     if constraint is not None:
-        answer = np.intersect1d(
-            answer, eval_filter_np(constraint, src, n_docs, None), assume_unique=True
-        )
+        answer = _intersect(answer, eval_filter_np(constraint, src, n_docs, None), n_docs)
     if authz is not None and len(answer):
-        answer = np.intersect1d(
-            answer, authz_mask(index_dir, part, authz, n_docs), assume_unique=True
-        )
+        answer = _intersect(answer, authz_mask(index_dir, part, authz, n_docs), n_docs)
     if time_range is not None and len(answer):
         # a boolean mask over the forward ts column, not a searchsorted: an
         # extended partition may hold late-arrival epochs whose ts overlap
@@ -985,6 +1022,14 @@ class SearchEngine:
         self.last_parts_asked = 0
         _fire_lifecycle("open", index_dir)  # IndexOpenCallback analogue
 
+    def _parse(self, query: str | Filter,
+               synonyms: dict[str, list[str]] | None = None) -> Filter:
+        """The query's filter under the index's analyzer and stopword
+        setting, synonyms expanded — parsed once per question, then handed
+        to every partition asked."""
+        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
+        return _parse(self.index_dir, query, use_stop, synonyms)
+
     def _manifest(self, part: int) -> dict | None:
         """The partition manifest from the primary or, when the primary's
         is unreadable (a vanished partition dir), from the first replica
@@ -1047,7 +1092,7 @@ class SearchEngine:
 
     def search(
         self,
-        query: str,
+        query: str | Filter,
         k: int = 10,
         scoring: str = "ref_tfidf",
         time_range: tuple[int, int] | None = None,
@@ -1060,7 +1105,11 @@ class SearchEngine:
         synonyms: dict[str, list[str]] | None = None,
         collapse: str | None = None,
     ) -> tuple[list[Hit], int]:
-        """``collapse`` — field collapsing (one best hit per distinct
+        """The query is parsed once, here (a ``Filter`` is taken as already
+        parsed), and its filter handed to every partition asked; a
+        malformed query raises ``QueryParseError`` before any is asked.
+
+        ``collapse`` — field collapsing (one best hit per distinct
         ``conv_id`` or ``role`` value; see search_partition). Exact across
         partitions: partitions return per-key bests, the merge dedups keys
         keeping the better-ordered occurrence. ``found`` stays uncollapsed.
@@ -1075,15 +1124,15 @@ class SearchEngine:
         Hit of the previous page (or its (score, ts, part, doc_id) tuple);
         the returned page holds the k answers strictly after it in the
         answer order. ``found`` still reports the full match count."""
-        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
+        filt = self._parse(query, synonyms)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
         if isinstance(after, Hit):
             after = (after.score, after.ts, after.part, after.doc_id)
         kwargs = dict(
-            query=query, k=k, scoring=scoring, time_range=time_range,
-            constraint=constraint, max_wild=max_wild, use_stopwords=use_stop,
-            authz=authz, after=after, synonyms=synonyms, collapse=collapse,
+            query=filt, k=k, scoring=scoring, time_range=time_range,
+            constraint=constraint, max_wild=max_wild, authz=authz, after=after,
+            collapse=collapse,
         )
         active = self._active_parts(time_range)
         if scoring == "time" and k > 0 and len(active) > 1 and early_exit:
@@ -1170,13 +1219,12 @@ class SearchEngine:
         MiruService.java:410-414)."""
         if scoring not in ("ref_tfidf", "bm25"):
             raise ValueError("serial report mode applies to relevance scorers")
-        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
+        filt = self._parse(query)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
         base = dict(
-            query=query, k=k, scoring=scoring, time_range=time_range,
-            constraint=constraint, max_wild=max_wild, use_stopwords=use_stop,
-            authz=authz,
+            query=filt, k=k, scoring=scoring, time_range=time_range,
+            constraint=constraint, max_wild=max_wild, authz=authz,
         )
         active = self._active_parts(time_range)
         self.last_parts_asked = len(active)
@@ -1240,21 +1288,21 @@ class SearchEngine:
         may still own globally ranked docs there, which is why Solr/ES
         distributed grouping use the same two round trips. Returns
         ([(key_value, [Hit...]) in group rank order], uncollapsed found)."""
+        filt = self._parse(query)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
         reps, found = self.search(
-            query, k=n_groups, scoring=scoring, time_range=time_range,
+            filt, k=n_groups, scoring=scoring, time_range=time_range,
             constraint=constraint, max_wild=max_wild, parallel=parallel,
             authz=authz, collapse=key, early_exit=False,
         )
         key_order = [getattr(h, key) for h in reps]
         if not key_order:
             return [], found
-        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
         kwargs = dict(
-            query=query, k=per_group, scoring=scoring, time_range=time_range,
-            constraint=constraint, max_wild=max_wild, use_stopwords=use_stop,
-            authz=authz, group_by=(key, tuple(key_order), per_group),
+            query=filt, k=per_group, scoring=scoring, time_range=time_range,
+            constraint=constraint, max_wild=max_wild, authz=authz,
+            group_by=(key, tuple(key_order), per_group),
         )
         active = self._active_parts(time_range)
         per_key: dict[str, list[Hit]] = {kv: [] for kv in key_order}
@@ -1280,13 +1328,12 @@ class SearchEngine:
     ) -> list[dict]:
         """Filter-only evaluation: every matching doc from every partition
         (no top-k, no scores). Returns the raw per-partition result dicts."""
-        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
+        filt = self._parse(query, synonyms)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
         kwargs = dict(
-            query=query, k=0, scoring="match", time_range=time_range,
-            constraint=constraint, max_wild=max_wild, use_stopwords=use_stop,
-            authz=authz, synonyms=synonyms,
+            query=filt, k=0, scoring="match", time_range=time_range,
+            constraint=constraint, max_wild=max_wild, authz=authz,
         )
         active = self._active_parts(time_range)
         self.last_parts_asked = len(active)
@@ -1374,20 +1421,17 @@ class SearchEngine:
         spec's expansion on one partition (newest by default) and per-term
         posting stats (df, Σtf, block count)."""
         p = self.parts[0] if part is None else part
-        use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
-        filt = parse_query(query, use_stopwords=use_stop,
-                           analyzer=_analyzer_name(self.index_dir))
+        filt = self._parse(query)
         specs: list[tuple[str, str]] = []
         _collect_term_specs(filt, specs)
         src = PostingSource(self.index_dir, p, specs, max_wild)
         terms: dict[str, dict] = {}
         for field, v in specs:
             for t in src.expand(field, v):
-                blocks = src.blocks.get((field, t))
                 terms[f"{field}:{t}"] = {
                     "df": src.df.get((field, t), 0),
                     "ttf": src.ttf.get((field, t), 0),
-                    "n_blocks": len(blocks["first"]) if blocks else 0,
+                    "n_blocks": src.n_blocks.get((field, t), 0),
                 }
         return {
             "part": p,

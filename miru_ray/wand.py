@@ -8,12 +8,14 @@ same two functions:
 * ``term_multipliers`` — one multiplier per collected term, in sorted term
   order: ref_tfidf c/Σtf, bm25 c·idf, lmd c (terms with Σtf ≤ 0, df ≤ 0 or,
   for bm25/lmd, c ≤ 0 are skipped);
-* ``score_exact`` — the fp32 term-sorted accumulation over a sorted doc
-  set (plus lmd's length prior).
+* ``score_exact`` — the fp32 term-sorted accumulation (plus lmd's length
+  prior): each term's contribution over its whole posting is scatter-added
+  into one dense fp32 accumulator over the partition's docs, and the match
+  set's scores are read out of it.
 
-tf values are read from the posting's decoded tf array
-(PostingSource.tf_at): every posting decodes whole, docs and tfs, when a
-partition first reads it.
+Every posting decodes whole, docs and tfs, when a partition first reads it
+(``PostingSource.docs`` / ``tfs``), so a query's scoring cost is the sum of
+its postings' lengths.
 """
 
 from __future__ import annotations
@@ -71,30 +73,34 @@ def score_exact(src, mults, answer: np.ndarray, scoring: str, avg_dl: float,
     """fp32 scores of the sorted docIds ``answer`` under the ``mults`` of
     ``term_multipliers``: per term in order, ref_tfidf adds m·tf, bm25
     m·tf/(tf + k1·(1 - b + b·dl/avgdl)) and lmd m·ln(1 + tf·T/(μ·Σtf));
-    lmd then adds its length prior |q|·ln(μ/(dl + μ)) to every doc."""
-    scores = np.zeros(len(answer), dtype=np.float32)
+    lmd then adds its length prior |q|·ln(μ/(dl + μ)) to every answer doc.
+
+    Each term's contribution is computed over its whole posting and
+    scatter-added (``acc[docs] += contrib``) into one fp32 accumulator over
+    the partition's docs (``len(dl_arr)``); the answer's scores are read
+    out of it. Every answer doc receives the same fp32 additions, in the
+    same term order, as a per-doc sum over the answer would make, so the
+    scores are bit-identical to it; the cost is the sum of the postings'
+    lengths."""
     if len(answer) == 0:
-        return scores
-    dl = dl_arr[answer].astype(np.float64) if scoring != "ref_tfidf" else None
-    knorm = _knorm(dl, avg_dl) if scoring == "bm25" else None
+        return np.zeros(0, dtype=np.float32)
+    acc = np.zeros(len(dl_arr), dtype=np.float32)
     for (field, term), m in mults:
-        docs = src.docs(field, term)
-        pos = np.searchsorted(answer, docs)
-        valid = (pos < len(answer)) & (answer[np.minimum(pos, len(answer) - 1)] == docs)
-        pos = pos[valid]
-        tf_i = src.tf_at(field, term, np.flatnonzero(valid))
+        docs, tf = src.docs(field, term), src.tfs(field, term)
         if scoring == "ref_tfidf":
-            scores[pos] += m * tf_i.astype(np.float32)
+            acc[docs] += m * tf.astype(np.float32)
         elif scoring == "bm25":
-            denom = (tf_i + knorm[pos]).astype(np.float32)
-            scores[pos] += m * (tf_i.astype(np.float32) / denom)
+            denom = (tf + _knorm(dl_arr[docs].astype(np.float64), avg_dl)).astype(np.float32)
+            acc[docs] += m * (tf.astype(np.float32) / denom)
         else:
             g = src.ttf[(field, term)]
-            scores[pos] += m * np.log(
-                1.0 + (tf_i.astype(np.float64) * total_tokens) / (LMD_MU * g)
+            acc[docs] += m * np.log(
+                1.0 + (tf.astype(np.float64) * total_tokens) / (LMD_MU * g)
             ).astype(np.float32)
+    scores = acc[answer]
     if scoring == "lmd":
         # the prior's query length: lmd's multiplier is the count itself
         qlen = sum(int(m) for _key, m in mults)
+        dl = dl_arr[answer].astype(np.float64)
         scores += F32(qlen) * np.log(LMD_MU / (dl + LMD_MU)).astype(np.float32)
     return scores

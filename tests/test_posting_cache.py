@@ -110,8 +110,7 @@ def _per_row_reference(t, i):
     blk_count = np.asarray(t["blk_count"][i].as_py())
     docs, tfs = decode_posting(t["doc_bytes"][i].as_py(), t["tf_bytes"][i].as_py(),
                                blk_first, blk_count)
-    blocks = {"first": blk_first, "count": blk_count}
-    return docs, tfs, int(t["ttf"][i].as_py()), int(t["df"][i].as_py()), blocks
+    return docs, tfs, int(t["ttf"][i].as_py()), int(t["df"][i].as_py()), len(blk_count)
 
 
 def _same(a, b):
@@ -126,7 +125,7 @@ def _same(a, b):
 
 def test_column_unpacking_matches_per_row(idx1, drop_resident):
     """PostingSource converts each column once per read; the cache entries
-    (docs, tfs, ttf, df, blocks) and the negative entries equal a
+    (docs, tfs, ttf, df, n_blocks) and the negative entries equal a
     scalar-by-scalar unpacking of the same rows."""
     from miru_ray.segments import read_postings_for_terms
 

@@ -9,10 +9,11 @@ per-shard indexes (per time segment, per ingest day, per tenant slice —
 each a normal ``build_index`` output, possibly on a different node), and a
 ``FederatedEngine`` queries them as one logical index. An index dir plays
 the role a remote host's hosted-partition set plays in the reference; the
-cross-index merge is the SAME two-pointer ordered merge
-(``search._merge_hits``, ties → current) the single-index engine already
+cross-index merge is the SAME ordered fold (``search._merge_two`` over the
+engines' columnar answers, ties → current) the single-index engine already
 runs across its partitions, so federated answers are bit-identical to the
-walk that visits every (index, partition) pair in order.
+walk that visits every (index, partition) pair in order. ``Hit``s are
+built for the final k only.
 
 Scale notes:
 - Non-TIME queries overlap the per-engine Ray fan-outs with a thread per
@@ -30,7 +31,7 @@ Scale notes:
 
 from __future__ import annotations
 
-from .search import Hit, SearchEngine, _merge_hits
+from .search import _NO_HITS, Hit, SearchEngine, _hits_of, _merge_two
 
 _INF = (1 << 63) - 1
 
@@ -131,26 +132,26 @@ class FederatedEngine:
             return self._time_walk(query, kw, active, bounds, k)
         results = self._ask_all(query, kw, active)
         collapse = kw.get("collapse")
-        merged: list[Hit] = []
-        found = 0
-        for hits, f in results:
+        merged, found = _NO_HITS, 0
+        for answer, f in results:
             found += f
             # per-engine answers are already one-per-key; a collapse merge
             # dedups keys ACROSS engines too (better-ordered occurrence wins)
-            merged = _merge_hits(merged, hits, k, collapse)
+            merged = _merge_two(merged, answer, k, collapse)
         self.last_engines_asked = len(active)
         self.last_parts_asked = sum(self.engines[i].last_parts_asked for i in active)
-        return merged, found
+        return _hits_of(merged), found
 
     def _ask_all(self, query: str, kw: dict, active: list[int]):
-        """One blocking sub-search per engine, overlapped with a thread per
-        engine (each only waits on its pool; compute runs on the cluster)."""
+        """One blocking sub-search per engine (its columnar answer and
+        found), overlapped with a thread per engine (each only waits on its
+        pool; compute runs on the cluster)."""
         if len(active) <= 1:
-            return [self.engines[i].search(query, **kw) for i in active]
+            return [self.engines[i]._search(query, **kw) for i in active]
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=len(active)) as ex:
-            futs = [ex.submit(self.engines[i].search, query, **kw) for i in active]
+            futs = [ex.submit(self.engines[i]._search, query, **kw) for i in active]
             return [f.result() for f in futs]
 
     def _time_walk(self, query, kw, active, bounds, k):
@@ -163,20 +164,19 @@ class FederatedEngine:
             rest_max[j] = run
             run = max(run, (bounds[active[j]] or (0, _INF))[1])
         collapse = kw.get("collapse")
-        merged: list[Hit] = []
-        found = 0
+        merged, found = _NO_HITS, 0
         asked = parts = 0
         for j, i in enumerate(active):
-            hits, f = self.engines[i].search(query, **kw)
+            answer, f = self.engines[i]._search(query, **kw)
             found += f
             asked += 1
             parts += self.engines[i].last_parts_asked
-            merged = _merge_hits(merged, hits, k, collapse)
-            if len(merged) >= k and merged[k - 1].ts > rest_max[j]:
+            merged = _merge_two(merged, answer, k, collapse)
+            if len(merged["ts"]) >= k and merged["ts"][k - 1] > rest_max[j]:
                 break
         self.last_engines_asked = asked
         self.last_parts_asked = parts
-        return merged, found
+        return _hits_of(merged), found
 
     # ------------------------------------------------- filter-only answers
 

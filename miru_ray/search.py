@@ -14,8 +14,8 @@ decodes each posting whole (docs and tfs). Its kernel is dense over the
 partition's docIds, like the reference's bitmaps: the set algebra goes
 through bool[n_docs] membership masks (sets stay sorted docId arrays), and
 the scorer scatter-adds each term's whole posting into one fp32 accumulator
-over the docs; then a local top-k. The engine, in the calling process,
-does the exact two-pointer ordered merge.
+over the docs; then a local top-k, gathered from the resident forward
+columns. The engine, in the calling process, does the exact ordered merge.
 
 Rank-identity contract (tested against the pure-python oracle):
 * signed term collector (±1 per collected term occurrence, sign flips for
@@ -38,10 +38,13 @@ Rank-identity contract (tested against the pure-python oracle):
   with range partitioning (build_index(partitioning="range") over a
   time-ordered stream) the per-partition manifest ts zone maps are
   disjoint and the walk DOES stop early (see SearchEngine.search);
-* merge: partitions newest→oldest (descending part id), two-pointer
-  truncated to k, taking from the running merge iff strictly less — ties
-  go to the current partition (FullTextAnswerMerger.java:56-63), so a
-  (score, ts) tie across partitions orders by part id ascending;
+* merge: partitions newest→oldest (descending part id), in the order of
+  the reference's two-pointer merge truncated to k, which takes from the
+  running merge iff strictly less — ties go to the current partition
+  (FullTextAnswerMerger.java:56-63), so a (score, ts) tie across
+  partitions orders by part id ascending. The engine folds the
+  partitions' columnar answers with one stable sort per fold
+  (``_merge_two``) and builds a ``Hit`` only for the k survivors;
   ``found`` sums the per-partition answer cardinalities.
 
 BM25 mode (the north star's scoring engine) uses the same machinery with
@@ -54,7 +57,9 @@ scorer in wand.py (``term_multipliers`` + ``score_exact``), masked by
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,10 +91,6 @@ class Hit:
     conv_id: str
     turn_idx: int
     role: str = ""
-
-
-def _sort_key(h: Hit):
-    return (-F32(h.score), -h.ts)
 
 
 # --------------------------------------------------------------- AST walking
@@ -184,7 +185,10 @@ def _check_tokenizer_compat(meta: dict, index_dir: str) -> None:
 def _parse(index_dir: str, query: str | Filter, use_stopwords: bool,
            synonyms: dict[str, list[str]] | None = None) -> Filter:
     """The filter of ``query`` (a ``Filter`` is taken as already parsed)
-    under the index's analyzer, ``synonyms`` expanded."""
+    under the index's analyzer, ``synonyms`` expanded. A ``Filter`` without
+    synonyms comes back as it is, without reading ``index.json``."""
+    if isinstance(query, Filter) and not synonyms:
+        return query
     analyzer = _analyzer_name(index_dir)
     if isinstance(query, Filter):
         filt = query
@@ -797,35 +801,37 @@ def _collapse_pick(answer: np.ndarray, scores: np.ndarray, fwd: dict,
                    key: str) -> np.ndarray:
     """Ascending index subset keeping the best doc per collapse-key value:
     (score desc, docId desc) — the in-heap tie-break, which under TIME's
-    all-zero scores degenerates to the newest doc. One vectorized gather +
-    dictionary encode + lexsort; no per-row Python."""
-    import pyarrow as pa
-
-    col = fwd[key].take(pa.array(answer))
-    codes = col.dictionary_encode()
-    if isinstance(codes, pa.ChunkedArray):
-        codes = codes.combine_chunks()
-    codes = codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    all-zero scores degenerates to the newest doc. One lexsort over the
+    key's forward dictionary codes; no per-row Python."""
+    codes = fwd["strings"][key][0][answer]
     order = np.lexsort((-answer, -scores, codes))
     first = np.concatenate([[True], codes[order][1:] != codes[order][:-1]])
     return np.sort(order[first])
 
 
-def _gather(fwd: dict, part: int, docs: np.ndarray, scores: np.ndarray, found: int) -> dict:
-    docs = np.asarray(docs, dtype=np.int64)
-    take = docs if len(docs) else np.empty(0, np.int64)
-    import pyarrow as pa
+def _strings(fwd: dict, col: str, docs: np.ndarray) -> list:
+    """The values of the forward string column ``col`` at ``docs`` (None
+    for a null row): a lookup of the docs' dictionary codes in the
+    column's Python strings."""
+    codes, values = fwd["strings"][col]
+    return values[codes[docs]].tolist()
 
-    idx = pa.array(take)
+
+def _gather(fwd: dict, part: int, docs: np.ndarray, scores: np.ndarray, found: int) -> dict:
+    """The columnar partition answer for ``docs`` in the given order: numpy
+    ``doc_id``, ``score`` (fp32), ``ts`` and ``turn_idx``, and ``conv_id``
+    and ``role`` as lists of Python strings from the resident forward
+    dictionaries (``Partition.forward``)."""
+    docs = np.array(docs, dtype=np.int64)
     return {
         "part": part,
         "found": found,
-        "doc_id": docs.astype(np.int64),
+        "doc_id": docs,
         "score": np.asarray(scores, dtype=np.float32),
-        "ts": fwd["ts"][take] if len(take) else np.empty(0, np.int64),
-        "conv_id": fwd["conv_id"].take(idx).to_pylist() if len(take) else [],
-        "turn_idx": fwd["turn_idx"][take] if len(take) else np.empty(0, np.int32),
-        "role": fwd["role"].take(idx).to_pylist() if len(take) else [],
+        "ts": fwd["ts"][docs],
+        "conv_id": _strings(fwd, "conv_id", docs),
+        "turn_idx": fwd["turn_idx"][docs],
+        "role": _strings(fwd, "role", docs),
     }
 
 
@@ -834,13 +840,11 @@ def _export_match_partition(index_dir: str, part: int, query: str,
                             use_stopwords: bool) -> dict:
     """One partition of export_match: match → forward gather → one parquet
     file, atomic and idempotent (present file == done)."""
-    import os as _os
-
     import pyarrow as pa
     import pyarrow.parquet as _pq
 
-    path = _os.path.join(out_dir, f"part-{part:05d}.parquet")
-    if _os.path.exists(path):
+    path = os.path.join(out_dir, f"part-{part:05d}.parquet")
+    if os.path.exists(path):
         return {"part": part, "rows": _pq.read_metadata(path).num_rows,
                 "skipped": True}
     r = search_partition(
@@ -854,61 +858,99 @@ def _export_match_partition(index_dir: str, part: int, query: str,
         {
             "part": pa.array(np.full(len(docs), part, dtype=np.int32)),
             "doc_id": pa.array(docs),
-            "conv_id": fwd["conv_id"].take(idx),
+            "conv_id": fwd["conv_id"].take(idx).cast(pa.string()),
             "turn_idx": pa.array(np.asarray(fwd["turn_idx"])[docs], pa.int32()),
-            "role": fwd["role"].take(idx),
-            "tool": fwd["tool"].take(idx),
+            "role": fwd["role"].take(idx).cast(pa.string()),
+            "tool": fwd["tool"].take(idx).cast(pa.string()),
             "ts": pa.array(np.asarray(fwd["ts"])[docs], pa.int64()),
         }
     )
     tmp = path + ".tmp"
     _pq.write_table(out, tmp)
-    _os.replace(tmp, path)
+    os.replace(tmp, path)
     return {"part": part, "rows": out.num_rows, "skipped": False}
 
 
 # ----------------------------------------------------------------- the engine
 
 
-def _merge_two(merged: list[Hit], cur: list[Hit], k: int,
-               key: str | None = None) -> list[Hit]:
-    """FullTextAnswerMerger.merge two-pointer (ties → current), truncated
-    to k. With a collapse ``key``, the better-ordered occurrence of a key
-    wins and later ones are skipped without consuming k. Each input list
+# A columnar answer holds the hit columns of a partition answer (_gather) in
+# answer order. A merged answer (``_merge_two``) holds them as Python lists,
+# ``part`` among them; in a partition's answer ``part`` is the partition id
+# and the number columns are numpy arrays.
+_COLUMNS = ("score", "ts", "doc_id", "part", "conv_id", "turn_idx", "role")
+_NO_HITS: dict = {c: [] for c in _COLUMNS}
+
+
+def _listed(r: dict) -> dict:
+    """A partition's or a merged answer as a merged answer: every column a
+    list, the partition id repeated per row."""
+    out = {}
+    for c in _COLUMNS:
+        v = r[c]
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif not isinstance(v, list):  # a partition answer's part id
+            v = [v] * len(r["doc_id"])
+        out[c] = v
+    return out
+
+
+def _take(r: dict, rows) -> dict:
+    """The merged answer of ``r``'s ``rows`` (positions), in that order."""
+    return {c: [v[i] for i in rows] for c, v in _listed(r).items()}
+
+
+def _walk_keys(keys: list) -> list:
+    """Each row's (score, ts) key lowered to the smallest key before it in
+    its answer: the key FullTextAnswerMerger.merge's two-pointer walk ranks
+    it by, since a row waits behind every row before it."""
+    return keys if keys == sorted(keys, reverse=True) else list(accumulate(keys, min))
+
+
+def _merge_two(merged: dict, cur: dict, k: int, key: str | None = None) -> dict:
+    """Fold the next answer ``cur`` (in walk order) into the running merged
+    answer, truncated to k — the reference's two-pointer merge
+    (FullTextAnswerMerger.java:56-63), which takes from the running merge
+    iff its head is strictly less by (fp32 score desc, ts desc), so ties
+    go to the current answer. That is one stable sort of concat(cur,
+    merged) by ``_walk_keys``: for answers already in key order (every
+    ranked partition answer) the plain (score desc, ts desc) sort; a TIME
+    answer is in docId order, whose ts need not descend. The first answer
+    is taken as it is. No ``Hit`` is built; ``_hits_of`` builds the final
+    k.
+
+    With a collapse ``key``, the first occurrence of a key in that order
+    wins and later ones are skipped without consuming k. Each answer
     carries its partitions' per-key BEST rep (search_partition collapses
     first), so the survivor of a cross-partition dup is the key's global
     best — and a key outside one partition's top-k is dominated there by k
     distinct better keys, so the merged top-k-distinct-keys answer is
     exact."""
-    out: list[Hit] = []
-    seen: set = set()
-    i = j = 0
-    while (i < len(merged) or j < len(cur)) and len(out) < k:
-        if i >= len(merged):
-            h = cur[j]; j += 1
-        elif j >= len(cur):
-            h = merged[i]; i += 1
-        elif _sort_key(merged[i]) < _sort_key(cur[j]):
-            h = merged[i]; i += 1
-        else:
-            h = cur[j]; j += 1
-        if key is not None:
-            kv = getattr(h, key)
-            if kv in seen:
-                continue
-            seen.add(kv)
-        out.append(h)
-    return out
-
-
-def _merge_hits(merged: list[Hit], hits: list[Hit], k: int,
-                collapse: str | None = None) -> list[Hit]:
-    """Fold the next partition's hits (in walk order) into the running
-    answer: the first non-empty answer is taken as it is, the rest go
-    through the ordered two-pointer merge (deduping collapse keys)."""
-    if not merged:
-        return hits[:k]
-    return _merge_two(merged, hits, k, collapse)
+    n = len(cur["doc_id"])
+    if not n:
+        return merged
+    cur = _listed(cur)
+    if not len(merged["doc_id"]):
+        return {c: v[:max(k, 0)] for c, v in cur.items()}
+    merged = _listed(merged)
+    both = {c: cur[c] + merged[c] for c in _COLUMNS}
+    keys = list(zip(both["score"], both["ts"]))
+    walk = _walk_keys(keys[:n]) + _walk_keys(keys[n:])
+    # stable, also in reverse: on a (score, ts) tie cur's rows stay first
+    order = sorted(range(len(walk)), key=walk.__getitem__, reverse=True)
+    if key is None:
+        order = order[:max(k, 0)]
+    else:
+        seen, vals, keep = set(), both[key], []
+        for i in order:
+            if len(keep) >= k:
+                break
+            if vals[i] not in seen:
+                seen.add(vals[i])
+                keep.append(i)
+        order = keep
+    return {c: [v[i] for i in order] for c, v in both.items()}
 
 
 class PartitionSearcher:
@@ -932,17 +974,10 @@ class PartitionSearcher:
 
 
 def _hits_of(r: dict) -> list[Hit]:
+    """The ``Hit``s of a partition's or a merged answer, in its order."""
     return [
-        Hit(
-            score=float(r["score"][i]),
-            ts=int(r["ts"][i]),
-            doc_id=int(r["doc_id"][i]),
-            part=r["part"],
-            conv_id=r["conv_id"][i],
-            turn_idx=int(r["turn_idx"][i]),
-            role=r["role"][i],
-        )
-        for i in range(len(r["doc_id"]))
+        Hit(score=sc, ts=ts, doc_id=d, part=p, conv_id=c, turn_idx=t, role=ro)
+        for sc, ts, d, p, c, t, ro in zip(*_listed(r).values())
     ]
 
 
@@ -976,7 +1011,10 @@ class SearchEngine:
 
         from .segments import _fire_lifecycle
 
-        self.index_dir = index_dir
+        # absolute: a warm partition lookup then does no path work
+        # (segments.partition), and the engine keeps reading the index it
+        # opened if the working directory changes
+        self.index_dir = index_dir = os.path.abspath(index_dir)
         self.meta = read_global_manifest(index_dir)
         _check_tokenizer_compat(self.meta, index_dir)
         self.parts = sorted(completed_parts(index_dir), reverse=True)  # newest→oldest
@@ -986,7 +1024,7 @@ class SearchEngine:
         # expected part set comes from the manifest too, so a partition whose
         # DIRECTORY vanished from the primary is still asked (and failed
         # over) rather than silently dropped from the answer.
-        self.replicas = list(replicas or [])
+        self.replicas = [os.path.abspath(r) for r in replicas or []]
         if self.replicas:
             # expected parts = the build's + every extend epoch's (range
             # rollover can open partitions parts_built never saw), MINUS
@@ -1124,6 +1162,31 @@ class SearchEngine:
         Hit of the previous page (or its (score, ts, part, doc_id) tuple);
         the returned page holds the k answers strictly after it in the
         answer order. ``found`` still reports the full match count."""
+        merged, found = self._search(
+            query, k=k, scoring=scoring, time_range=time_range, constraint=constraint,
+            max_wild=max_wild, parallel=parallel, authz=authz, early_exit=early_exit,
+            after=after, synonyms=synonyms, collapse=collapse,
+        )
+        return _hits_of(merged), found
+
+    def _search(
+        self,
+        query: str | Filter,
+        k: int = 10,
+        scoring: str = "ref_tfidf",
+        time_range: tuple[int, int] | None = None,
+        constraint: Filter | None = None,
+        max_wild: int = DEFAULT_MAX_WILDCARD_EXPANSION,
+        parallel: bool | None = None,
+        authz: tuple[str, list[str]] | None = None,
+        early_exit: bool = True,
+        after: "Hit | tuple[float, int, int, int] | None" = None,
+        synonyms: dict[str, list[str]] | None = None,
+        collapse: str | None = None,
+    ) -> tuple[dict, int]:
+        """``search``'s answer as one columnar answer (see ``_merge_two``)
+        and ``found``: the partitions' answers are folded as they come, and
+        no ``Hit`` is built."""
         filt = self._parse(query, synonyms)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
@@ -1138,16 +1201,15 @@ class SearchEngine:
         if scoring == "time" and k > 0 and len(active) > 1 and early_exit:
             return self._time_walk(kwargs, parallel, active, k)
         self.last_parts_asked = len(active)
-        merged: list[Hit] = []
-        found = 0
+        merged, found = _NO_HITS, 0
         for r in self._fan_out(search_partition, kwargs, parallel, parts=active):
-            merged = _merge_hits(merged, _hits_of(r), k, collapse)  # walk order
+            merged = _merge_two(merged, r, k, collapse)  # walk order
             found += r["found"]
         return merged, found
 
     def _time_walk(
         self, kwargs: dict, parallel: bool | None, active: list[int], k: int
-    ) -> tuple[list[Hit], int]:
+    ) -> tuple[dict, int]:
         """Newest→oldest TIME walk in parallel waves with zone-map early
         exit (FullTextAnswerEvaluator.java:18-35 isDone). Stop condition is
         strict (kth ts > every remaining ts_max): an equal-ts doc in an
@@ -1171,17 +1233,16 @@ class SearchEngine:
         # strictly older ts, so they can neither enter the top-k nor win a
         # key dedup against a kept (newer) rep
         collapse = kwargs.get("collapse")
-        merged: list[Hit] = []
-        found = 0
+        merged, found = _NO_HITS, 0
         asked = 0
         for w0 in range(0, len(active), wave):
             chunk = active[w0 : w0 + wave]
             for r in self._fan_out(search_partition, kwargs, parallel, parts=chunk):
-                merged = _merge_hits(merged, _hits_of(r), k, collapse)
+                merged = _merge_two(merged, r, k, collapse)
                 found += r["found"]
             asked += len(chunk)
             last = w0 + len(chunk) - 1
-            if len(merged) >= k and merged[k - 1].ts > rest_max[last]:
+            if len(merged["ts"]) >= k and merged["ts"][k - 1] > rest_max[last]:
                 break
         self.last_parts_asked = asked
         return merged, found
@@ -1228,8 +1289,7 @@ class SearchEngine:
         )
         active = self._active_parts(time_range)
         self.last_parts_asked = len(active)
-        merged: list[Hit] = []
-        found = 0
+        merged, found = _NO_HITS, 0
         report: tuple[int, float] | None = None  # (scoredActivities, lowestScore)
         for p in active:
             kw = dict(base)
@@ -1237,13 +1297,10 @@ class SearchEngine:
                 kw["min_score"] = report[1]
                 kw["below_min"] = max(0, k - report[0])
             r = self._ask_serial(search_partition, p, kw)
-            merged = _merge_hits(merged, _hits_of(r), k)
+            merged = _merge_two(merged, r, k)
             found += r["found"]
-            report = (
-                len(merged),
-                min((h.score for h in merged), default=float("inf")),
-            )
-        return merged, found
+            report = (len(merged["score"]), min(merged["score"], default=float("inf")))
+        return _hits_of(merged), found
 
     def count(
         self,
@@ -1257,7 +1314,7 @@ class SearchEngine:
         IndexSearcher.count): the k=0 TIME path evaluates the filter +
         masks per partition and returns only ``found`` — no scoring and no
         forward gather."""
-        return self.search(
+        return self._search(
             query, k=0, scoring="time", time_range=time_range,
             constraint=constraint, authz=authz, parallel=parallel,
             early_exit=False,
@@ -1291,12 +1348,12 @@ class SearchEngine:
         filt = self._parse(query)
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
-        reps, found = self.search(
+        reps, found = self._search(
             filt, k=n_groups, scoring=scoring, time_range=time_range,
             constraint=constraint, max_wild=max_wild, parallel=parallel,
             authz=authz, collapse=key, early_exit=False,
         )
-        key_order = [getattr(h, key) for h in reps]
+        key_order = reps[key]
         if not key_order:
             return [], found
         kwargs = dict(
@@ -1305,16 +1362,15 @@ class SearchEngine:
             group_by=(key, tuple(key_order), per_group),
         )
         active = self._active_parts(time_range)
-        per_key: dict[str, list[Hit]] = {kv: [] for kv in key_order}
+        per_key: dict[str, dict] = {kv: _NO_HITS for kv in key_order}
         for r in self._fan_out(search_partition, kwargs, parallel, parts=active):
-            hits = _hits_of(r)
-            by: dict[str, list[Hit]] = {}
-            for g, h in zip(r["group"], hits):
-                by.setdefault(g, []).append(h)
-            for kv, lst in by.items():
+            rows: dict[str, list[int]] = {}
+            for i, g in enumerate(r["group"]):
+                rows.setdefault(g, []).append(i)
+            for kv, idx in rows.items():
                 if kv in per_key:
-                    per_key[kv] = _merge_hits(per_key[kv], lst, per_group)
-        return [(kv, per_key[kv]) for kv in key_order], found
+                    per_key[kv] = _merge_two(per_key[kv], _take(r, idx), per_group)
+        return [(kv, _hits_of(per_key[kv])) for kv in key_order], found
 
     def match(
         self,
@@ -1362,17 +1418,16 @@ class SearchEngine:
         question into the same dir raises instead of silently serving the
         old answer under the new name."""
         import json as _json
-        import os as _os
 
-        _os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         use_stop = bool(self.meta.get("tokenizer", {}).get("stopwords"))
         if authz is not None:
             authz = (authz[0], tuple(authz[1]))
         spec = {"query": query,
                 "time_range": list(time_range) if time_range else None,
                 "authz": [authz[0], list(authz[1])] if authz else None}
-        marker = _os.path.join(out_dir, "_EXPORT.json")
-        if _os.path.exists(marker):
+        marker = os.path.join(out_dir, "_EXPORT.json")
+        if os.path.exists(marker):
             with open(marker) as f:
                 prev = _json.load(f)
             if prev != spec:
@@ -1384,7 +1439,7 @@ class SearchEngine:
             tmp = marker + ".tmp"
             with open(tmp, "w") as f:
                 _json.dump(spec, f)
-            _os.replace(tmp, marker)
+            os.replace(tmp, marker)
         kwargs = dict(query=query, out_dir=out_dir, time_range=time_range,
                       authz=authz, use_stopwords=use_stop)
         results = self._fan_out(_export_match_partition, kwargs, parallel,

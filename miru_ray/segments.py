@@ -110,6 +110,8 @@ FORWARD_SCHEMA = pa.schema(
         ("dl", pa.int32()),  # document length (text token count)
     ]
 )
+# the forward columns held dictionary-encoded in a resident Partition
+STRING_COLUMNS = ("conv_id", "role", "tool")
 
 
 # ------------------------------------------------- lifecycle callbacks
@@ -402,7 +404,8 @@ class Partition:
 
     def __init__(self, index_dir: str, part: int, epoch: float):
         self.key = (os.path.abspath(index_dir), part)
-        self.dir = part_dir(index_dir, part)
+        self.dir = part_dir(self.key[0], part)
+        self.mpath = os.path.join(self.dir, "_MANIFEST.json")
         self.epoch = epoch
         self.manifest = read_manifest(index_dir, part)
         self.postings: dict[str, tuple | None] = {}  # term key -> entry, None: absent
@@ -422,13 +425,32 @@ class Partition:
     @property
     def forward(self) -> dict:
         """The forward columns the query path gathers from (the Strut-style
-        per-worker cache pattern, StrutModelCache.java:104-140)."""
+        per-worker cache pattern, StrutModelCache.java:104-140): ``ts``,
+        ``dl`` and ``turn_idx`` as numpy arrays, ``n_docs``, and
+        ``conv_id``, ``role`` and ``tool`` as ``pa.DictionaryArray``s (a
+        conversation's turns share one dictionary entry). ``strings`` maps
+        each of those three to ``(codes, values)``: the int32 code per doc
+        and one Python ``str`` per dictionary entry in a numpy object
+        array, so ``values[codes[docs]]`` gathers the strings of any docs
+        (``search._gather``). A null row's code is ``len(values) - 1``,
+        whose value is None; the codes view the dictionary's indices unless
+        the column has nulls."""
         with self._load:
             if self._forward is None:
                 t = self.forward_table()
-                self._forward = {c: t[c].to_numpy() for c in ("ts", "dl", "turn_idx")}
-                self._forward.update({c: t[c].combine_chunks() for c in ("conv_id", "role", "tool")})
-                self._forward["n_docs"] = t.num_rows
+                fwd = {c: t[c].to_numpy() for c in ("ts", "dl", "turn_idx")}
+                fwd["strings"] = {}
+                for c in STRING_COLUMNS:
+                    col = t[c].combine_chunks().dictionary_encode()
+                    values = np.empty(len(col.dictionary) + 1, dtype=object)
+                    values[:-1] = col.dictionary.to_pylist()
+                    codes = col.indices
+                    if codes.null_count:
+                        codes = pc.fill_null(codes, len(col.dictionary))
+                    fwd[c] = col
+                    fwd["strings"][c] = (codes.to_numpy(), values)
+                fwd["n_docs"] = t.num_rows
+                self._forward = fwd
         return self._forward
 
     def forward_table(self) -> pa.Table:
@@ -472,9 +494,17 @@ class Partition:
 
     def nbytes(self) -> int:
         """Resident bytes of the term dictionary and the forward columns, as
-        far as they are loaded (the query caches are not counted)."""
-        fwd = [v for v in (self._forward or {}).values() if hasattr(v, "nbytes")]
-        return (self._dictionary.nbytes() if self._dictionary else 0) + sum(v.nbytes for v in fwd)
+        far as they are loaded (the query caches are not counted): the
+        Arrow and numpy buffers, and the Python strings of the string
+        columns' values (codes that view the dictionary indices once)."""
+        fwd = self._forward or {}
+        n = self._dictionary.nbytes() if self._dictionary else 0
+        n += sum(v.nbytes for v in fwd.values() if hasattr(v, "nbytes"))
+        for c, (codes, values) in fwd.get("strings", {}).items():
+            n += values.nbytes + sum(sys.getsizeof(v) for v in values if v is not None)
+            if fwd[c].indices.null_count:
+                n += codes.nbytes
+        return n
 
 
 def manifest_epoch(index_dir: str, part: int) -> float:
@@ -497,9 +527,24 @@ def _forget(pt: Partition) -> None:
 def partition(index_dir: str, part: int) -> Partition:
     """The resident partition at its current manifest epoch, replaced whole
     when the epoch has moved. The manifest is read outside the lock; of two
-    threads that load the same epoch, the first to register wins."""
-    key = (os.path.abspath(index_dir), part)
-    epoch = manifest_epoch(index_dir, part)
+    threads that load the same epoch, the first to register wins.
+
+    A warm lookup makes one ``os.stat``, of the manifest. Registry keys are
+    absolute normalised paths (``SearchEngine`` holds its ``index_dir``
+    so), so such a dir finds its resident partition, and the manifest path
+    it holds, without path work; any other spelling, a relative dir
+    included, is resolved against the current working directory on every
+    call."""
+    pt = _PARTITIONS.get((index_dir, part))
+    if pt is not None:
+        key, mpath = pt.key, pt.mpath
+    else:
+        key = (os.path.abspath(index_dir), part)
+        mpath = manifest_path(key[0], part)
+    try:
+        epoch = os.stat(mpath).st_mtime
+    except OSError:
+        epoch = -1.0
     with _LOCK:
         pt = _PARTITIONS.get(key)
         if pt is not None and pt.epoch == epoch:
@@ -657,23 +702,52 @@ def _write_doc_set(path: str, docs: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
-_STREAM_CACHE: dict[tuple, np.ndarray] = {}
+class _DocSetFiles:
+    """Sorted docId sets read from small parquet files (tombstones, stream
+    sets), an LRU of at most ``cap`` paths. An entry holds the identity of
+    the file it was read from (device, inode, mtime, size): a lookup makes
+    one ``os.stat`` and serves the entry only while the path still names
+    that file, so a relative path resolved in another working directory, or
+    a file replaced since (writers ``os.replace`` a new file), is read
+    again, and its entry replaces the superseded one."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._sets: "OrderedDict[str, tuple[tuple, np.ndarray]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def read(self, path: str) -> np.ndarray:
+        """The file's sorted docIds; empty when it does not exist."""
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            return _EMPTY_SET
+        ident = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+        with self._lock:
+            hit = self._sets.get(path)
+            if hit is not None and hit[0] == ident:
+                self._sets.move_to_end(path)
+                return hit[1]
+        docs = pq.read_table(path)["doc_id"].to_numpy().astype(np.int64)
+        with self._lock:
+            self._sets[path] = (ident, docs)
+            self._sets.move_to_end(path)
+            while len(self._sets) > self.cap:
+                self._sets.popitem(last=False)
+        return docs
+
+
 _EMPTY_SET = np.empty(0, dtype=np.int64)
+_STREAM_SETS = _DocSetFiles(4096)
+_TOMBSTONES = _DocSetFiles(4096)
 
 
 def read_stream_set(index_dir: str, part: int, kind: str, stream_id: str) -> np.ndarray:
     """Sorted docIds of a stream's inbox/unread set (empty if none)."""
-    path = _stream_file(index_dir, part, kind, stream_id)
-    if not os.path.exists(path):
-        return _EMPTY_SET
-    key = (os.path.abspath(path), os.path.getmtime(path))
-    hit = _STREAM_CACHE.get(key)
-    if hit is None:
-        hit = pq.read_table(path)["doc_id"].to_numpy().astype(np.int64)
-        if len(_STREAM_CACHE) > 4096:
-            _STREAM_CACHE.clear()
-        _STREAM_CACHE[key] = hit
-    return hit
+    return _STREAM_SETS.read(_stream_file(index_dir, part, kind, stream_id))
 
 
 def _mutate_stream_set(index_dir: str, kind: str, stream_id: str,
@@ -708,20 +782,6 @@ def mark_all_read(index_dir: str, stream_id: str) -> None:
             _write_doc_set(path, np.empty(0, dtype=np.int64))
 
 
-_TOMBSTONE_CACHE: dict[tuple, np.ndarray] = {}
-_NO_TOMBSTONES = np.empty(0, dtype=np.int64)
-
-
 def read_tombstones(index_dir: str, part: int) -> np.ndarray:
     """Sorted tombstoned docIds of a partition (empty array if none)."""
-    path = os.path.join(part_dir(index_dir, part), "tombstones.parquet")
-    if not os.path.exists(path):
-        return _NO_TOMBSTONES
-    key = (os.path.abspath(path), os.path.getmtime(path))
-    hit = _TOMBSTONE_CACHE.get(key)
-    if hit is None:
-        hit = pq.read_table(path)["doc_id"].to_numpy().astype(np.int64)
-        if len(_TOMBSTONE_CACHE) > 4096:
-            _TOMBSTONE_CACHE.clear()
-        _TOMBSTONE_CACHE[key] = hit
-    return hit
+    return _TOMBSTONES.read(os.path.join(part_dir(index_dir, part), "tombstones.parquet"))

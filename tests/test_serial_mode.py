@@ -38,6 +38,12 @@ def _full_hits(engine, part, query, scoring):
     return sorted(hits, key=lambda h: h.doc_id), r["found"]
 
 
+def _columns(hits):
+    """A Hit list as a merged answer, the form ``_merge_two`` folds."""
+    fields = ("score", "ts", "doc_id", "part", "conv_id", "turn_idx", "role")
+    return {f: [getattr(h, f) for h in hits] for f in fields}
+
+
 def _brute_serial(engine, query, k, scoring):
     """FullText.java:114-141 verbatim: minScore = lastReport.lowestScore,
     acceptableBelowMin = desired - alreadyScored; below-threshold docs
@@ -62,7 +68,10 @@ def _brute_serial(engine, query, k, scoring):
                     budget -= 1
         top = sorted(admitted, key=lambda h: (-h.score, -h.doc_id))[:k]
         top = sorted(top, key=lambda h: (-h.score, -h.ts))
-        merged = top if report is None else _merge_two(merged, top, k)
+        if report is None:
+            merged = top
+        else:
+            merged = _hits_of(_merge_two(_columns(merged), _columns(top), k))
         report = (len(merged), min((h.score for h in merged), default=float("inf")))
     return merged, found
 

@@ -5,14 +5,16 @@
 
 Asks the perfbench query pool of ``--seed`` (``perfbench.workloads
 .make_queries``: four queries per family, BM25 top-k for ``and2``,
-``and3``, ``or2``, ``not``, ``prefix`` and ``field``, TIME for ``time``)
-of the index with ``SearchEngine.search(..., parallel=False)``: the
+``and3``, ``or2``, ``not``, ``prefix`` and ``field``, TIME for ``time``),
+plus an ``absent`` family (four BM25 queries of one term the index lacks:
+the per-partition fixed cost of a query with no postings to read, score
+or gather), of the index with ``SearchEngine.search(..., parallel=False)``: the
 partitions are asked one after another in this process, the path the
 benchmark's end-to-end latencies use. One untimed pass warms the caches;
 each round then runs the pool once per query in a shuffled order. A
 family's p50 is the median of its queries' latencies in one round, and the
 printed figure is the minimum of that over ``--rounds`` rounds; ``bm25``
-is the same over every BM25 query. Prints one line per family and a JSON
+is the same over every BM25 query of the perfbench pool. Prints one line per family and a JSON
 summary as the last line. No Ray needed.
 """
 
@@ -38,14 +40,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     from miru_ray.search import SearchEngine
-    from perfbench.workloads import FAMILIES, make_queries
+    from perfbench.workloads import FAMILIES, Query, make_queries
 
     eng = SearchEngine(args.index_dir)
     pool = make_queries(args.seed)
-    for q in pool:  # warm pass
-        eng.search(q.text, k=args.k, scoring=q.scoring, parallel=False)
     groups = {f: [i for i, q in enumerate(pool) if q.family == f] for f in FAMILIES}
     groups["bm25"] = [i for i, q in enumerate(pool) if q.scoring == "bm25"]
+    absent = [Query("absent", f"zzabsent{args.seed}q{i}", "bm25") for i in range(4)]
+    for q in absent:
+        if eng.count(q.text, parallel=False):
+            raise SystemExit(f"{q.text!r} is in the index; the absent family needs a missing term")
+    groups["absent"] = list(range(len(pool), len(pool) + len(absent)))
+    pool += absent
+    for q in pool:  # warm pass
+        eng.search(q.text, k=args.k, scoring=q.scoring, parallel=False)
     best = {g: float("inf") for g in groups}
     rng = random.Random(args.seed)
     for _ in range(args.rounds):

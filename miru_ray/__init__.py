@@ -3,8 +3,8 @@
 A from-scratch rebuild of the query/data-processing capabilities of the
 reference engine (KevinCorcor/miru, see SURVEY.md) expressed idiomatically on
 ray.data.Dataset: tokenization inside ``map_batches`` over zero-copy Arrow
-batches, posting-list construction via pre-aggregated per-batch runs merged by
-a ``groupby(partition)`` actor-pool stage, delta+varbyte compression in
+batches, posting-list construction via pre-aggregated per-batch runs merged
+per partition in plain Ray tasks, delta+varbyte compression in
 fixed-size blocks, and a BM25 / reference-TF-IDF top-k query engine with
 per-partition fan-out and ordered cross-partition merge.
 

@@ -390,12 +390,12 @@ def _totals_from_manifests(index_dir: str) -> dict:
 #            per-partition docId base offsets — docIds become computable
 #            locally, replacing the reference's serial id allocator
 #            (LabTimeIdIndex.java:96) with pure arithmetic.
-#   phase 2  one Ray Data task per file group: tokenize + encode posting
-#            RUNS with global docIds (forward-table slices ride along as
-#            IPC pseudo-runs); each task's per-partition run PACK is
-#            spilled into the partition's runs dir as the task finishes.
-#            Only the compressed packs (≈5× smaller than the text) leave
-#            the task.
+#   phase 2  one Ray Data task per file group (``_index_files``, on the
+#            warm default workers): tokenize + encode posting RUNS with
+#            global docIds (forward-table slices ride along as IPC
+#            pseudo-runs); each task's per-partition run PACK is spilled
+#            into the partition's runs dir as the task finishes. Only the
+#            compressed packs (≈5× smaller than the text) leave the task.
 #   phase 3  per-partition finalize (plain-task scatter): merge packs by
 #            offset subsampling (codec.merge_runs — no decode), write
 #            postings + forward, manifest LAST.
@@ -403,7 +403,7 @@ def _totals_from_manifests(index_dir: str) -> dict:
 # Scale notes: the base offsets are a CSR triple over the NONZERO
 # (file, part) pairs (sparse_bases) — phase 1 ships sparse per-file counts
 # and the dense (n_files × n_parts) matrix never exists; the triple is
-# broadcast ONCE via ray.put (zero-copy numpy views per actor; the item
+# broadcast ONCE via ray.put (zero-copy numpy views per task; the item
 # dataset carries only paths and file indexes). Memory = Σ_f |parts(f)|:
 # small files touch few partitions and cost O(1); only files that really
 # span all partitions pay n_parts entries. At 10^12-turn scale
@@ -526,8 +526,8 @@ def sparse_bases(
 
 
 class FileIndexer:
-    """Phase-2 actor-pool stage: one input file per call → posting runs with
-    global docIds, plus the file's forward-table slices serialized as Arrow
+    """Phase-2 task body (``_index_files``): input files → posting runs with
+    global docIds, plus the files' forward-table slices serialized as Arrow
     IPC inside special ``FWD_TERM`` run rows.
 
     Two exchange modes:
@@ -545,11 +545,12 @@ class FileIndexer:
                  use_stopwords: bool = False, spill_dir: str | None = None,
                  bases_ref=None, rows_per_part: int | None = None,
                  analyzer: str = "default", positions: bool = False):
+        import ray
+
         from .analyzers import get_analyzer
 
         self._flat = get_analyzer(analyzer).flat
         self.positions = positions
-        self.index_dir = index_dir
         self.n_parts = n_parts
         self.skip = skip_parts
         self.use_stopwords = use_stopwords
@@ -562,23 +563,18 @@ class FileIndexer:
         # stays O(n_files) at any n_parts (each file touches ≤ 2 partitions)
         self.rows_per_part = rows_per_part
         # the docId-base offsets travel through the object store ONCE as a
-        # CSR triple (ray.put broadcast, zero-copy numpy views per actor),
+        # CSR triple (ray.put broadcast, zero-copy numpy views per task),
         # sized by the NONZERO (file, part) pairs — the dense
         # (n_files × n_parts) matrix never exists (see sparse_bases); the
         # item dataset carries only paths and file indexes
-        self._bases = None
-        self._scratch = None
-        if bases_ref is not None:
-            import ray
-
-            self._bases = ray.get(bases_ref)
-        # each actor is scheduled as ONE cpu — keep Arrow's internal pool at
-        # one thread too, or 30 actors × ncpu-thread parquet/compute pools
-        # thrash the box (massive oversubscription at high concurrency)
+        self._bases = ray.get(bases_ref) if bases_ref is not None else None
+        # one Arrow thread per one-CPU task, or 30 tasks × ncpu-thread pools
+        # thrash the box. Process-wide: it outlives the task in the shared
+        # worker (where Ray's one OpenMP thread per worker already set it)
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
 
-    def _one_file(self, path: str, fidx: int, bases: np.ndarray | None,
+    def _one_file(self, path: str, bases: np.ndarray | None,
                   goff: int | None = None) -> tuple[list[pa.Table], list[pa.Table]]:
         import pyarrow.parquet as pq
 
@@ -719,23 +715,17 @@ class FileIndexer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         runs: list[pa.Table] = []
         fwds: list[pa.Table] = []
+        # CSR slice → per-file scratch vector. _one_file reads bases[p] only
+        # for the partitions THIS file's rows hash to: the cols just written
+        bases = np.zeros(self.n_parts, dtype=np.int64)
         for i in range(batch.num_rows):
-            fidx = int(batch["fidx"][i].as_py())
             if self.rows_per_part is not None:
-                goff = int(batch["goff"][i].as_py())
-                r, f = self._one_file(batch["path"][i].as_py(), fidx, None, goff)
+                r, f = self._one_file(batch["path"][i].as_py(), None, int(batch["goff"][i].as_py()))
             else:
-                # CSR slice → per-file scratch vector. Stale entries from a
-                # previous file are never read: _one_file only indexes
-                # bases[p] for partitions THIS file's rows hash to, which are
-                # exactly the cols just written.
-                ip = self._bases["indptr"]
-                lo, hi = int(ip[fidx]), int(ip[fidx + 1])
-                if self._scratch is None or len(self._scratch) != self.n_parts:
-                    self._scratch = np.zeros(self.n_parts, dtype=np.int64)
-                bases = self._scratch
+                fidx = int(batch["fidx"][i].as_py())
+                lo, hi = int(self._bases["indptr"][fidx]), int(self._bases["indptr"][fidx + 1])
                 bases[self._bases["cols"][lo:hi]] = self._bases["vals"][lo:hi]
-                r, f = self._one_file(batch["path"][i].as_py(), fidx, bases)
+                r, f = self._one_file(batch["path"][i].as_py(), bases)
             runs.extend(r)
             fwds.extend(f)
         runs = [r for r in runs if r.num_rows]
@@ -786,6 +776,10 @@ class FileIndexer:
             {"part": pa.array(out_parts, pa.int32()), "bytes": pa.array(out_bytes, pa.int64())},
             schema=SPILL_ROW_SCHEMA,
         )
+
+
+def _index_files(batch: pa.Table, **kw) -> pa.Table:
+    return FileIndexer(**kw)(batch)
 
 
 def _ts_bounds(forward: pa.Table | None) -> dict:
@@ -968,6 +962,9 @@ def build_index(
     must already be initialised by the caller. Returns the global manifest
     dict (also written to index.json).
 
+    ``concurrency`` caps the phase-2 tasks running at once (default: the
+    CPU count); the index bytes do not depend on it.
+
     Input files not globally sorted by (conv_id, turn_idx) — detected by
     the phase-1 scan — are first sorted into a temporary Parquet copy under
     ``index_dir`` (removed afterwards); the manifest's ``input_files``
@@ -1062,8 +1059,6 @@ def build_index(
             "rows_per_file": [int(m["rows"]) for m in metas],
         }
         if concurrency is None:
-            # size to the full CPU count: the tokenize pool owns the box
-            # during phase 2; phase 3 runs after it drains
             concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
 
         if partitioning == "range":
@@ -1074,18 +1069,15 @@ def build_index(
         else:
             bases_ref = ray.put(bases)
             items = [{"path": f, "fidx": i} for i, f in enumerate(src)]
-        # files per task: ~6 waves per actor for load balance (coarse tasks
-        # straggle: the last wave runs on a near-empty pool), floored at 3 so
-        # the in-task combiner still amortizes (1-file tasks skip combining and
-        # explode the per-partition pack count the finalizer must merge),
-        # capped at 8 so a task's resident set stays bounded at real file sizes
+        # files per task: ~6 waves per task slot for load balance (coarse
+        # tasks straggle: the last wave runs on a near-idle box), floored at
+        # 3 so the in-task combiner still amortizes (1-file tasks skip
+        # combining and explode the per-partition pack count the finalizer
+        # must merge), capped at 8 to bound a task's resident set
         group = int(min(8, max(3, len(src) // max(1, 6 * concurrency))))
         group = min(group, max(1, len(src)))
-        n_tasks = -(-len(src) // group)
-        # FIXED pool size (not autoscaling): all actors start + import in
-        # parallel at t0 instead of ramping from a floor; phase 3 finalizes
-        # with plain tasks after phase 2 drains, so every CPU is usable
-        fi_conc = max(1, min(concurrency, n_tasks))
+        # a cap above the task count only makes Ray Data warn
+        concurrency = min(concurrency, -(-len(src) // group))
         # spill target: RAM-backed by default when available (same in-memory
         # semantics as an object-store exchange; on a cluster point
         # MIRU_RAY_SPILL_BASE at the shared segment store for durable phase-2
@@ -1105,11 +1097,11 @@ def build_index(
         shutil.rmtree(spill_dir, ignore_errors=True)
         # packs land in per-partition runs dirs DURING phase 2 (overlapping
         # compute); the only barrier is the tiny marker collect; phase 3 is
-        # a plain-task scatter over partitions (warm workers, no second
-        # actor-pool spawn, no sort machinery)
+        # a plain-task scatter over partitions. Both phases run on the warm
+        # default workers, with no sort machinery
         rd.from_items(items).map_batches(
-            FileIndexer,
-            fn_constructor_kwargs={
+            _index_files,
+            fn_kwargs={
                 "index_dir": index_dir, "n_parts": n_parts,
                 "skip_parts": done, "use_stopwords": use_stopwords,
                 "spill_dir": spill_dir, "bases_ref": bases_ref,
@@ -1118,7 +1110,7 @@ def build_index(
             },
             batch_size=group,
             batch_format="pyarrow",
-            concurrency=fi_conc,
+            concurrency=concurrency,
             num_cpus=1,
         ).take_all()
         if timing:
@@ -1214,10 +1206,10 @@ def _check_committed(part: int, n_docs: int, postings: pa.Table, forward: pa.Tab
 
 
 class SegmentExtender:
-    """map_groups stage of extend_index: existing segment + new runs →
-    rewritten segment (manifest last, epoch appended). A partition whose
-    files are ahead of its committed manifest is refused
-    (``_check_committed``)."""
+    """Per-partition task body of extend_index (``_extend_partition``):
+    existing segment + new runs → rewritten segment (manifest last, epoch
+    appended). A partition whose files are ahead of its committed manifest
+    is refused (``_check_committed``)."""
 
     def __init__(self, index_dir: str, new_docs_by_part: dict[int, int], epoch: str,
                  lineage: dict):
@@ -1267,6 +1259,10 @@ class SegmentExtender:
         return pa.Table.from_pylist([row], schema=MANIFEST_ROW_SCHEMA)
 
 
+def _extend_partition(group: pa.Table, **kw) -> pa.Table:
+    return SegmentExtender(**kw)(group)
+
+
 def extend_index(
     new_input: str | list[str],
     index_dir: str,
@@ -1275,7 +1271,9 @@ def extend_index(
 ) -> dict:
     """Apply a new batch of transcript files to an existing index (the sip
     analogue). New docs get appended docIds per partition; repeated calls
-    with the same files are no-ops (epoch markers in the manifests)."""
+    with the same files are no-ops (epoch markers in the manifests).
+
+    ``concurrency`` caps each stage's running tasks (default: the CPU count)."""
     import ray
     import ray.data as rd
 
@@ -1379,12 +1377,13 @@ def extend_index(
         items = [{"path": f, "fidx": i} for i, f in enumerate(files)]
 
     if concurrency is None:
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)) - 1)
+        concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
     group = int(min(8, max(1, len(files) // max(1, 6 * concurrency))))
-    n_tasks = -(-len(files) // group)
+    # a cap above the task count only makes Ray Data warn
+    concurrency = min(concurrency, -(-len(files) // group))
     runs_ds = rd.from_items(items).map_batches(
-        FileIndexer,
-        fn_constructor_kwargs={
+        _index_files,
+        fn_kwargs={
             "index_dir": index_dir, "n_parts": n_parts,
             "skip_parts": done, "use_stopwords": use_stopwords,
             "bases_ref": bases_ref,
@@ -1393,22 +1392,22 @@ def extend_index(
         },
         batch_size=group,
         batch_format="pyarrow",
-        concurrency=max(1, min(concurrency, n_tasks)),
+        concurrency=concurrency,
         num_cpus=1,
     )
     lineage = {"extend_input": files, "strategy": "stream"}
     rows = (
         runs_ds.groupby("part")
         .map_groups(
-            SegmentExtender,
-            fn_constructor_kwargs={
+            _extend_partition,
+            fn_kwargs={
                 "index_dir": index_dir,
                 "new_docs_by_part": new_docs_by_part,
                 "epoch": epoch,
                 "lineage": lineage,
             },
             batch_format="pyarrow",
-            concurrency=(1, concurrency),
+            concurrency=concurrency,
             num_cpus=1,
         )
         .take_all()

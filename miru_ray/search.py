@@ -633,7 +633,10 @@ def search_partition(
                 or min_score is not None:
             raise ValueError("group_by composes with ranked scorers only "
                              "(no collapse/match/after/serial report)")
-    metrics = partition(index_dir, part).manifest["metrics"]
+    manifest = partition(index_dir, part).manifest
+    if manifest is None:
+        raise FileNotFoundError(f"{index_dir}: partition {part} has no readable manifest")
+    metrics = manifest["metrics"]
     n_docs = metrics["n_docs"]
     avg_dl = metrics.get("avg_dl") or metrics["total_tokens"] / max(1, n_docs)
     total_tokens = float(metrics.get("total_tokens") or avg_dl * n_docs)

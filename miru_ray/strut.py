@@ -226,7 +226,7 @@ def train_model(sf_dir: str, feature_terms: list[str], positive_term: str,
 def _pool_size(requested: int) -> int:
     """Actor-pool size that can never starve the upstream read tasks: a
     FIXED pool taking every CPU deadlocks against the task pool feeding it
-    (all-or-nothing start; same invariant as build.py's fi_conc guard)."""
+    (all-or-nothing start)."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8

@@ -310,7 +310,7 @@ def test_relative_index_dir_follows_the_working_directory(tiny_index, tmp_path, 
     # the engine keeps reading the index it opened
     assert search_partition(eng.index_dir, 0, "t1", 1000, scoring="bm25")["found"] == want_a[0]
     monkeypatch.chdir(tmp_path / "empty")
-    with pytest.raises(TypeError):
+    with pytest.raises(FileNotFoundError, match="idx: partition 0 has no readable manifest"):
         ask("idx")
 
 

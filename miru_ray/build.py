@@ -572,7 +572,6 @@ class FileIndexer:
         # thrash the box. Process-wide: it outlives the task in the shared
         # worker (where Ray's one OpenMP thread per worker already set it)
         pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
 
     def _one_file(self, path: str, bases: np.ndarray | None,
                   goff: int | None = None) -> tuple[list[pa.Table], list[pa.Table]]:
@@ -962,8 +961,9 @@ def build_index(
     must already be initialised by the caller. Returns the global manifest
     dict (also written to index.json).
 
-    ``concurrency`` caps the phase-2 tasks running at once (default: the
-    CPU count); the index bytes do not depend on it.
+    ``concurrency`` caps the phase-2 tasks running at once (default: no cap
+    but the free CPUs, one per task) and sizes the file batches; the index
+    bytes do not depend on it.
 
     Input files not globally sorted by (conv_id, turn_idx) — detected by
     the phase-1 scan — are first sorted into a temporary Parquet copy under
@@ -1058,8 +1058,7 @@ def build_index(
             "strategy": "stream",
             "rows_per_file": [int(m["rows"]) for m in metas],
         }
-        if concurrency is None:
-            concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
+        cpus = concurrency or max(1, int(ray.cluster_resources().get("CPU", 8)))
 
         if partitioning == "range":
             bases_ref = None
@@ -1074,10 +1073,8 @@ def build_index(
         # 3 so the in-task combiner still amortizes (1-file tasks skip
         # combining and explode the per-partition pack count the finalizer
         # must merge), capped at 8 to bound a task's resident set
-        group = int(min(8, max(3, len(src) // max(1, 6 * concurrency))))
+        group = int(min(8, max(3, len(src) // max(1, 6 * cpus))))
         group = min(group, max(1, len(src)))
-        # a cap above the task count only makes Ray Data warn
-        concurrency = min(concurrency, -(-len(src) // group))
         # spill target: RAM-backed by default when available (same in-memory
         # semantics as an object-store exchange; on a cluster point
         # MIRU_RAY_SPILL_BASE at the shared segment store for durable phase-2
@@ -1273,7 +1270,8 @@ def extend_index(
     analogue). New docs get appended docIds per partition; repeated calls
     with the same files are no-ops (epoch markers in the manifests).
 
-    ``concurrency`` caps each stage's running tasks (default: the CPU count)."""
+    ``concurrency`` caps each stage's running tasks (default: no cap but
+    the free CPUs, one per task) and sizes the file batches."""
     import ray
     import ray.data as rd
 
@@ -1376,11 +1374,8 @@ def extend_index(
         bases_ref = ray.put(bases)
         items = [{"path": f, "fidx": i} for i, f in enumerate(files)]
 
-    if concurrency is None:
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    group = int(min(8, max(1, len(files) // max(1, 6 * concurrency))))
-    # a cap above the task count only makes Ray Data warn
-    concurrency = min(concurrency, -(-len(files) // group))
+    cpus = concurrency or max(1, int(ray.cluster_resources().get("CPU", 8)))
+    group = int(min(8, max(1, len(files) // max(1, 6 * cpus))))
     runs_ds = rd.from_items(items).map_batches(
         _index_files,
         fn_kwargs={

@@ -1,14 +1,15 @@
 """Warm ingest wall time: ``build_index`` runs and ``extend_index`` epochs.
 
-    python tools/ingest_bench.py CORPUS [--cpus 3] [--runs 5] [--parts 8]
+    python tools/ingest_bench.py CORPUS [--runs 5]
 
 ``CORPUS`` is ``small`` or ``tiny`` (the perfbench corpus of that scale,
 written under ``--work``), a directory of transcript Parquet files, or a
 scale-factor data directory such as ``sf0.01``, which maps to the fixtures
 transcript corpus the way ``bench.py`` maps it (``sf0.01`` → ``small``).
 
-Starts a local Ray of ``--cpus`` CPUs and warms its worker pool, then runs
-one untimed build and ``--runs`` timed builds of every file. The extend
+Starts perfbench's local Ray session (its CPU count, warmed worker pool)
+and builds at its partition count: one untimed build and ``--runs`` timed
+builds of every file. The extend
 side builds the first half of the files once and then, ``--runs`` times
 over a fresh copy of that base, applies each remaining file as one timed
 epoch. Every timed call starts after a garbage collection and once every
@@ -22,7 +23,6 @@ tool puts its own checkout first on ``sys.path`` and on the Ray workers'
 from __future__ import annotations
 
 import argparse
-import gc
 import glob
 import json
 import os
@@ -33,8 +33,6 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
-
-QUIESCE_LIMIT_S = 20.0
 
 
 def corpus_files(corpus: str, work: str) -> list[str]:
@@ -56,17 +54,6 @@ def corpus_files(corpus: str, work: str) -> list[str]:
     return sorted(glob.glob(os.path.join(ensure_transcripts(scale_for(corpus)), "*.parquet")))
 
 
-def quiesce(n_cpus: int) -> None:
-    import ray
-
-    gc.collect()
-    t0 = time.perf_counter()
-    while time.perf_counter() - t0 < QUIESCE_LIMIT_S:
-        if ray.available_resources().get("CPU", 0) >= n_cpus:
-            return
-        time.sleep(0.02)
-
-
 def summary(secs: list[float], turns: list[int]) -> dict:
     return {"min_s": round(min(secs), 3), "median_s": round(statistics.median(secs), 3),
             "turns_per_s": round(statistics.median(t / s for t, s in zip(turns, secs))),
@@ -76,18 +63,15 @@ def summary(secs: list[float], turns: list[int]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("corpus")
-    ap.add_argument("--cpus", type=int, default=3)
     ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--parts", type=int, default=8)
     ap.add_argument("--work", default=os.path.join(REPO, ".ingest_bench_work"))
     args = ap.parse_args(argv)
 
     import ray
-    from ray.data import DataContext
 
     from miru_ray.build import build_index, extend_index
     from perfbench.run import membw_probe
-    from perfbench.workloads import input_stats
+    from perfbench.workloads import N_PARTS, RAY_CPUS, input_stats, ray_quiesce, ray_start
 
     files = corpus_files(args.corpus, args.work)
     if len(files) < 2:
@@ -95,39 +79,28 @@ def main(argv=None) -> int:
     half = len(files) // 2
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [REPO] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
-             logging_level="ERROR", log_to_driver=False)
-    DataContext.get_current().enable_progress_bars = False
-
-    @ray.remote(num_cpus=1)
-    def _warm(delay: float) -> int:
-        import miru_ray.build  # noqa: F401
-
-        time.sleep(delay)  # hold the CPU so the next task lands on another worker
-        return os.getpid()
-
-    ray.get([_warm.remote(0.2) for _ in range(args.cpus)])
+    ray_start(args.work)
     idx = os.path.join(args.work, "index")
     base = os.path.join(args.work, "base")
     try:
         membw_before = membw_probe()
-        build_index(files, idx, n_parts=args.parts, resume=False)  # warm-up
+        build_index(files, idx, n_parts=N_PARTS, resume=False)  # warm-up
         n_turns = input_stats(files)[0]
         build_s = []
         for _ in range(args.runs):
             shutil.rmtree(idx, ignore_errors=True)
-            quiesce(args.cpus)
+            ray_quiesce()
             t0 = time.perf_counter()
-            build_index(files, idx, n_parts=args.parts, resume=False)
+            build_index(files, idx, n_parts=N_PARTS, resume=False)
             build_s.append(time.perf_counter() - t0)
         shutil.rmtree(base, ignore_errors=True)
-        build_index(files[:half], base, n_parts=args.parts, resume=False)
+        build_index(files[:half], base, n_parts=N_PARTS, resume=False)
         extend_s, extend_turns = [], []
         for _ in range(args.runs):
             shutil.rmtree(idx, ignore_errors=True)
             shutil.copytree(base, idx)
             for f in files[half:]:
-                quiesce(args.cpus)
+                ray_quiesce()
                 t0 = time.perf_counter()
                 extend_index([f], idx)
                 extend_s.append(time.perf_counter() - t0)
@@ -138,7 +111,7 @@ def main(argv=None) -> int:
         shutil.rmtree(idx, ignore_errors=True)
         shutil.rmtree(base, ignore_errors=True)
     out = {"corpus": args.corpus, "files": len(files), "turns": n_turns,
-           "cpus": args.cpus, "parts": args.parts,
+           "cpus": RAY_CPUS, "parts": N_PARTS,
            "build": summary(build_s, [n_turns] * len(build_s)),
            "extend": summary(extend_s, extend_turns),
            "membw_gbs_before": round(membw_before, 2),
